@@ -29,6 +29,7 @@ use kyoto_sim::engine::{ExecSlot, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
 use kyoto_sim::workload::Workload;
+use kyoto_workloads::interactive::Interactive;
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -143,12 +144,34 @@ fn seed_engine_rate(slots: usize, scale: u64) -> f64 {
 }
 
 fn engine_rate(slots: usize, scale: u64, batched: bool) -> f64 {
-    const BUDGET: u64 = 100_000;
-    let machine = Machine::new(MachineConfig::scaled_paper_machine(scale));
-    let mut engine = SimEngine::new(machine);
     let mut workloads: Vec<SpecWorkload> = (0..slots)
         .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
         .collect();
+    batch_rate(&mut workloads, scale, batched)
+}
+
+/// Throughput of four drained [`Interactive`] sleepers, whose streams are
+/// nothing but idle padding: the compute-op runs that dominate a host
+/// consolidating sleep-mostly VMs. The batched path retires those runs in
+/// one pass; the reference steps them one op at a time.
+fn sleeper_engine_rate(scale: u64, batched: bool) -> f64 {
+    let mut sleepers: Vec<Interactive<SpecWorkload>> = (0..4)
+        .map(|i| {
+            let mut sleeper = Interactive::new(SpecWorkload::new(SpecApp::Gcc, scale, i), 1);
+            sleeper.next_op();
+            sleeper
+        })
+        .collect();
+    batch_rate(&mut sleepers, scale, batched)
+}
+
+/// Simulated cycles per second of one batch of `workloads`, one per core of
+/// the single-socket machine, through the batched or the reference path.
+fn batch_rate<W: Workload>(workloads: &mut [W], scale: u64, batched: bool) -> f64 {
+    const BUDGET: u64 = 100_000;
+    let slots = workloads.len();
+    let machine = Machine::new(MachineConfig::scaled_paper_machine(scale));
+    let mut engine = SimEngine::new(machine);
     best_rate((BUDGET * slots as u64) as f64, || {
         let mut slot_refs: Vec<ExecSlot<'_>> = workloads
             .iter_mut()
@@ -393,7 +416,7 @@ fn main() {
     let mut samples = Vec::new();
     cache_samples(&mut samples);
 
-    let mut speedups: Vec<(usize, f64)> = Vec::new();
+    let mut speedups: Vec<(String, f64)> = Vec::new();
     let mut seed_speedups: Vec<(usize, f64)> = Vec::new();
     let mut untraced_4slots = f64::NAN;
     for slots in [1usize, 2, 4] {
@@ -433,8 +456,23 @@ fn main() {
             unit: "Msimcycles/s",
             value: seed / 1e6,
         });
-        speedups.push((slots, batched / reference));
+        speedups.push((format!("{slots}_slots"), batched / reference));
         seed_speedups.push((slots, batched / seed));
+    }
+    {
+        let batched = sleeper_engine_rate(config.scale, true);
+        let reference = sleeper_engine_rate(config.scale, false);
+        samples.push(Sample {
+            name: "run_slots_batched_4sleepers",
+            unit: "Msimcycles/s",
+            value: batched / 1e6,
+        });
+        samples.push(Sample {
+            name: "run_slots_reference_4sleepers",
+            unit: "Msimcycles/s",
+            value: reference / 1e6,
+        });
+        speedups.push(("4_sleepers".to_string(), batched / reference));
     }
 
     // Trace-plane overhead on the 4-slot batched scenario: explicitly-off
@@ -627,9 +665,9 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"batched_vs_reference_speedup\": {\n");
-    for (i, (slots, speedup)) in speedups.iter().enumerate() {
+    for (i, (key, speedup)) in speedups.iter().enumerate() {
         let comma = if i + 1 == speedups.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{slots}_slots\": {speedup:.2}{comma}");
+        let _ = writeln!(json, "    \"{key}\": {speedup:.2}{comma}");
     }
     json.push_str("  },\n");
     json.push_str("  \"optimized_vs_seed_speedup\": {\n");

@@ -87,7 +87,7 @@ fn drive_and_check(
     vms: &[(VmId, Option<WakeSource>)],
     ticks: u64,
 ) {
-    let cores = hv.engine().machine().num_cores() as usize;
+    let cores = hv.engine().machine().num_cores();
     for _ in 0..ticks {
         let tick = hv.current_tick();
         let before: Vec<(VcpuState, u64, bool)> = vms

@@ -13,11 +13,14 @@
 //!   find the LLC state left behind by the previous occupant.
 //!
 //! The default [`SimEngine::run_slots`] path batches op fetching through
-//! [`Workload::fill_ops`] and advances slots in epochs (run the
-//! furthest-behind slot until it catches up with the next one) instead of
-//! re-scanning every slot per op. The interleaving it produces is
-//! bit-identical to the per-op [`SimEngine::run_slots_reference`] path,
-//! which is kept as the semantic baseline for equivalence tests and
+//! [`Workload::fill_ops`] and advances slots in epochs instead of
+//! re-scanning every slot per op. Only memory ops are ordering points: the
+//! furthest-behind slot runs until its next memory op would no longer be
+//! the earliest one, and every run of compute ops in between retires in one
+//! pass. Compute ops touch only their slot's own counters and memory ops
+//! still execute in the reference's `(cycle, slot index)` order, so the
+//! result is bit-identical to the per-op [`SimEngine::run_slots_reference`]
+//! path, which is kept as the semantic baseline for equivalence tests and
 //! benchmarks.
 
 use crate::cache::OwnerId;
@@ -161,7 +164,8 @@ impl QuantumReport {
 }
 
 /// A batched op stream: ops prefetched from a workload in [`OP_CHUNK`]
-/// blocks, consumed one at a time. Unconsumed ops survive in the engine's
+/// blocks and consumed in order, runs of compute ops in one pass and memory
+/// ops one at a time. Unconsumed ops survive in the engine's
 /// carry map so the stream continues exactly where it stopped on the next
 /// call — batching is invisible to the simulation semantics.
 #[derive(Debug, Default, Clone)]
@@ -171,14 +175,41 @@ struct OpQueue {
 }
 
 impl OpQueue {
+    /// Retires the run of compute ops at the head of the stream in one pass
+    /// (refilling as needed) and returns the memory op that ends the run,
+    /// left unconsumed at the head. Returns `None` once the run reaches
+    /// `cycle_budget`; the op that reaches it is retired. Each compute op
+    /// costs `max(cycles, 1)` — the clamp of `execute_op`.
     #[inline]
-    fn next(&mut self, workload: &mut dyn Workload) -> Op {
-        if self.head == self.buf.len() {
-            self.refill(workload);
-        }
-        let op = self.buf[self.head];
-        self.head += 1;
-        op
+    fn retire_compute_run(
+        &mut self,
+        workload: &mut dyn Workload,
+        report: &mut QuantumReport,
+        cycle_budget: u64,
+    ) -> Option<Op> {
+        let start = report.consumed_cycles;
+        let mut consumed = start;
+        let mut retired = 0u64;
+        let memory_op = 'run: loop {
+            if self.head == self.buf.len() {
+                self.refill(workload);
+            }
+            for &op in &self.buf[self.head..] {
+                let Op::Compute { cycles } = op else {
+                    break 'run Some(op);
+                };
+                self.head += 1;
+                retired += 1;
+                consumed += u64::from(cycles.max(1));
+                if consumed >= cycle_budget {
+                    break 'run None;
+                }
+            }
+        };
+        report.consumed_cycles = consumed;
+        report.pmc_delta.instructions += retired;
+        report.pmc_delta.unhalted_core_cycles += consumed - start;
+        memory_op
     }
 
     fn refill(&mut self, workload: &mut dyn Workload) {
@@ -323,10 +354,22 @@ fn execute_op<M: AccessMem>(
 /// (whole machine) and the per-socket groups of
 /// [`SimEngine::run_slots_parallel`] (split-borrowed socket views).
 ///
-/// Pops the furthest-behind slot from a min-heap on
-/// `(consumed_cycles, slot index)` — exactly the slot the reference path's
-/// linear scan would pick — and runs it op by op until it would no longer be
-/// the scheduling minimum (or its budget is spent), then requeues it.
+/// Only memory ops are ordering points. The loop pops the furthest-behind
+/// slot from a min-heap on `(consumed_cycles, slot index)` and runs it: a
+/// run of compute ops at the head of its stream retires in one pass
+/// ([`OpQueue::retire_compute_run`]), and before each memory op the slot
+/// compares its `(consumed_cycles, slot index)` with the heap minimum. If
+/// it is no longer the minimum it is requeued with the memory op still at
+/// the head of its stream. A slot stops once its budget is spent.
+///
+/// This is bit-identical to the reference path, which advances the
+/// furthest-behind slot one op at a time. Compute ops touch only the slot's
+/// own counters, so where they fall relative to other slots' ops is
+/// unobservable. Memory ops — the only ops that touch cache,
+/// replacement-policy or shadow state — still execute in increasing
+/// `(cycle, slot index)` order, the reference order: every other slot's key
+/// in the heap is a lower bound on where its next memory op starts, so a
+/// memory op whose key is below the heap minimum precedes them all.
 /// `slots`, `queues`, `routes`, `mlps` and `reports` are parallel arrays.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_interleaving<M: AccessMem>(
@@ -352,15 +395,16 @@ fn run_epoch_interleaving<M: AccessMem>(
         let route = routes[i];
         let mlp = mlps[i];
         let owner = slot.owner;
-        loop {
-            let op = queue.next(&mut *slot.workload);
-            execute_op(machine, shadow, route, owner, mlp, op, report);
+        while let Some(op) = queue.retire_compute_run(&mut *slot.workload, report, cycle_budget) {
             let consumed = report.consumed_cycles;
-            if consumed >= cycle_budget {
-                break;
-            }
             if consumed > limit_cycles || (consumed == limit_cycles && i > limit_index) {
                 heap.push(Reverse((consumed, i)));
+                break;
+            }
+            // Consume the memory op the run left at the head.
+            queue.head += 1;
+            execute_op(machine, shadow, route, owner, mlp, op, report);
+            if report.consumed_cycles >= cycle_budget {
                 break;
             }
         }
@@ -536,14 +580,19 @@ impl SimEngine {
     /// Returns one report per slot, in the order of `slots`. Slots also
     /// accumulate the counter deltas into their own [`ExecSlot::pmcs`].
     ///
-    /// The interleaving is epoch-based: the slot that is furthest behind in
-    /// cycle time (ties broken by slot index) executes ops until it catches
-    /// up with the next slot, with ops pulled from batched per-slot buffers
-    /// ([`Workload::fill_ops`]). The resulting global op order — and
-    /// therefore every cache state, counter and pollution attribution — is
-    /// bit-identical to advancing one op at a time as
-    /// [`SimEngine::run_slots_reference`] does, which a property test
-    /// asserts; only the bookkeeping cost per op differs.
+    /// The interleaving is epoch-based, with ops pulled from batched
+    /// per-slot buffers ([`Workload::fill_ops`]), and only memory ops are
+    /// ordering points: the slot that is furthest behind in cycle time
+    /// (ties broken by slot index) runs until its next memory op would
+    /// start after another slot's current position, retiring each run of
+    /// compute ops in one pass. Compute ops touch only the slot's own
+    /// counters, and memory ops — the only ops that touch cache,
+    /// replacement-policy or shadow state — execute in increasing
+    /// `(cycle, slot index)` order, as when advancing one op at a time like
+    /// [`SimEngine::run_slots_reference`]. Every cache state, counter and
+    /// pollution attribution is therefore bit-identical to the reference,
+    /// which property tests assert; only the bookkeeping cost per op
+    /// differs.
     ///
     /// Slots marked [`ExecSlot::blocked`] are skipped entirely: they
     /// execute no ops, consume zero cycles, report all-zero deltas, and

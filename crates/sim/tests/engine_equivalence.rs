@@ -12,7 +12,11 @@
 //! (placements spreading slots across every socket), and the paper's
 //! execution modes (parallel co-scheduling and
 //! alternative time-sharing over successive calls, which exercises the
-//! carried op buffers).
+//! carried op buffers). The properties draw from two op streams, with and
+//! without blocked slots: mostly memory ops, and long compute runs between
+//! memory bursts. The second covers the batched paths' one-pass retirement
+//! of compute runs: runs that cross the 64-op fetch chunk and runs that
+//! end at the budget.
 
 use kyoto_sim::cache::OwnerId;
 use kyoto_sim::engine::{ExecSlot, SimEngine};
@@ -20,8 +24,17 @@ use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::replacement::ReplacementPolicy;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
 use kyoto_sim::workload::{Op, Workload};
-use kyoto_sim::CacheStats;
+use kyoto_sim::{CacheStats, QuantumReport};
 use proptest::prelude::*;
+
+/// One step of the LCG both test generators draw from: the high 31 bits
+/// of the next state.
+fn lcg_draw(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
 
 /// A deterministic mixed load/store/compute generator (LCG-driven) so the
 /// test does not depend on the higher-level `kyoto-workloads` crate.
@@ -44,11 +57,7 @@ impl LcgWorkload {
 
 impl Workload for LcgWorkload {
     fn next_op(&mut self) -> Op {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let draw = self.state >> 33;
+        let draw = lcg_draw(&mut self.state);
         let line = (draw / 16) % self.lines;
         match draw % 16 {
             0..=2 => Op::Compute {
@@ -70,6 +79,77 @@ impl Workload for LcgWorkload {
     fn mem_parallelism(&self) -> f64 {
         self.mem_parallelism
     }
+}
+
+/// A bursty generator: runs of 0-200 compute ops, some of them
+/// `Op::Compute { cycles: 0 }` (charged as one cycle), between bursts of
+/// 1-8 loads and stores. `LcgWorkload` emits compute ops only one at a
+/// time; these runs cross the engine's 64-op fetch chunk and reach the
+/// budget mid-run.
+#[derive(Debug, Clone)]
+struct BurstyWorkload {
+    state: u64,
+    lines: u64,
+    mem_parallelism: f64,
+    compute_left: u64,
+    memory_left: u64,
+}
+
+impl BurstyWorkload {
+    fn new(seed: u64, lines: u64, mem_parallelism: f64) -> Self {
+        BurstyWorkload {
+            state: seed | 1,
+            lines: lines.max(1),
+            mem_parallelism,
+            compute_left: 0,
+            memory_left: 0,
+        }
+    }
+}
+
+impl Workload for BurstyWorkload {
+    fn next_op(&mut self) -> Op {
+        if self.compute_left == 0 && self.memory_left == 0 {
+            let draw = lcg_draw(&mut self.state);
+            self.compute_left = draw % 201;
+            self.memory_left = draw / 201 % 8 + 1;
+        }
+        let draw = lcg_draw(&mut self.state);
+        if self.compute_left > 0 {
+            self.compute_left -= 1;
+            return Op::Compute {
+                cycles: (draw % 4) as u32,
+            };
+        }
+        self.memory_left -= 1;
+        let addr = (draw / 4) % self.lines * 64;
+        if draw.is_multiple_of(4) {
+            Op::Store { addr }
+        } else {
+            Op::Load { addr }
+        }
+    }
+
+    fn name(&self) -> &str {
+        "bursty"
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.lines * 64
+    }
+
+    fn mem_parallelism(&self) -> f64 {
+        self.mem_parallelism
+    }
+}
+
+/// Which generator drives the workloads of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stream {
+    /// `LcgWorkload`: mostly memory ops, compute ops one at a time.
+    Mixed,
+    /// `BurstyWorkload`: long compute runs between memory bursts.
+    Bursty,
 }
 
 /// One slot blueprint: which core/owner the workload runs on during a call.
@@ -106,11 +186,38 @@ enum Mode {
     Combined,
 }
 
+/// Everything a run depends on except the engine path.
+#[derive(Debug, Clone)]
+struct Scenario {
+    policy: ReplacementPolicy,
+    mode: Mode,
+    seed: u64,
+    workload_count: usize,
+    budgets: Vec<u64>,
+    shadow: bool,
+    sockets: usize,
+    stream: Stream,
+    /// Seed of which slots each call passes blocked; `None` blocks none.
+    blocking: Option<u64>,
+}
+
+impl Scenario {
+    /// Whether the slot at `position` of call `call` is blocked: about one
+    /// slot in three when blocking is on.
+    fn blocked(&self, call: usize, position: usize) -> bool {
+        self.blocking.is_some_and(|seed| {
+            let mut state = seed ^ ((call as u64) << 16 | position as u64);
+            lcg_draw(&mut state);
+            lcg_draw(&mut state).is_multiple_of(3)
+        })
+    }
+}
+
 /// Everything observable about a run: per-call reports plus final machine,
 /// slot and shadow state (per-socket where the machine has several).
 #[derive(Debug, PartialEq)]
 struct Observed {
-    reports: Vec<Vec<kyoto_sim::QuantumReport>>,
+    reports: Vec<Vec<QuantumReport>>,
     pmcs: Vec<PmcSet>,
     llc_stats: Vec<CacheStats>,
     llc_occupancy: Vec<Vec<u64>>,
@@ -175,17 +282,17 @@ fn participants(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_path(
-    path: EnginePath,
-    policy: ReplacementPolicy,
-    mode: Mode,
-    seed: u64,
-    workload_count: usize,
-    budgets: &[u64],
-    shadow: bool,
-    sockets: usize,
-) -> Observed {
+fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
+    let Scenario {
+        policy,
+        mode,
+        seed,
+        workload_count,
+        shadow,
+        sockets,
+        stream,
+        ..
+    } = *scenario;
     // `cloud_machine(1)` and `cloud_machine(2)` are exactly the paper's
     // single-socket and two-socket machines; larger counts replicate the
     // same per-socket geometry.
@@ -198,37 +305,56 @@ fn run_path(
     }
     // Working sets straddle the LLC so hits, misses and cross-owner
     // evictions all occur.
-    let mut workloads: Vec<LcgWorkload> = (0..workload_count)
-        .map(|w| {
-            LcgWorkload::new(
-                seed.wrapping_add(w as u64).wrapping_mul(0x9e3779b9) | 1,
-                llc_lines / 2 + (w as u64 + 1) * llc_lines / 3,
-                1.0 + w as f64 * 2.0,
-            )
+    let mut workloads: Vec<Box<dyn Workload>> = (0..workload_count)
+        .map(|w| -> Box<dyn Workload> {
+            let seed = seed.wrapping_add(w as u64).wrapping_mul(0x9e3779b9) | 1;
+            let lines = llc_lines / 2 + (w as u64 + 1) * llc_lines / 3;
+            let mlp = 1.0 + w as f64 * 2.0;
+            match stream {
+                Stream::Mixed => Box::new(LcgWorkload::new(seed, lines, mlp)),
+                Stream::Bursty => Box::new(BurstyWorkload::new(seed, lines, mlp)),
+            }
         })
         .collect();
     let mut pmcs = vec![PmcSet::default(); workload_count];
-    let mut reports = Vec::with_capacity(budgets.len());
+    let mut reports = Vec::with_capacity(scenario.budgets.len());
 
-    for (call, &budget) in budgets.iter().enumerate() {
+    for (call, &budget) in scenario.budgets.iter().enumerate() {
         let selected = participants(mode, call, workload_count, sockets);
-        let mut remaining: Vec<&mut LcgWorkload> = workloads.iter_mut().collect();
+        let mut remaining: Vec<&mut Box<dyn Workload>> = workloads.iter_mut().collect();
         // Pull the selected workloads out in index order so each call can
         // borrow several of them mutably at once.
         let mut slots: Vec<ExecSlot<'_>> = Vec::new();
         let mut slot_workload_indices = Vec::new();
-        for &(w, spec) in selected.iter().rev() {
+        let mut slot_positions = Vec::new();
+        for (position, &(w, spec)) in selected.iter().enumerate().rev() {
             let workload = remaining.remove(w);
-            slots.push(ExecSlot::new(CoreId(spec.core), spec.owner, workload));
+            let blocked = scenario.blocked(call, position);
+            // The reference has no notion of blocking; the batched paths
+            // promise to run a call as if its blocked slots were absent.
+            if blocked && path == EnginePath::Reference {
+                continue;
+            }
+            slots.push(
+                ExecSlot::new(CoreId(spec.core), spec.owner, workload.as_mut())
+                    .with_blocked(blocked),
+            );
             slot_workload_indices.push(w);
+            slot_positions.push(position);
         }
         slots.reverse();
         slot_workload_indices.reverse();
-        let call_reports = match path {
+        slot_positions.reverse();
+        let slot_reports = match path {
             EnginePath::Batched => engine.run_slots(&mut slots, budget),
             EnginePath::Reference => engine.run_slots_reference(&mut slots, budget),
             EnginePath::Parallel => engine.run_slots_parallel(&mut slots, budget),
         };
+        // Blocked slots report all zeros on every path.
+        let mut call_reports = vec![QuantumReport::default(); selected.len()];
+        for (&position, report) in slot_positions.iter().zip(slot_reports) {
+            call_reports[position] = report;
+        }
         for (slot, &w) in slots.iter().zip(&slot_workload_indices) {
             pmcs[w] += slot.pmcs;
         }
@@ -270,6 +396,29 @@ fn run_path(
     }
 }
 
+/// A scenario of the mixed stream with no slot blocked.
+fn mixed(
+    policy: ReplacementPolicy,
+    mode: Mode,
+    seed: u64,
+    workload_count: usize,
+    budgets: Vec<u64>,
+    shadow: bool,
+    sockets: usize,
+) -> Scenario {
+    Scenario {
+        policy,
+        mode,
+        seed,
+        workload_count,
+        budgets,
+        shadow,
+        sockets,
+        stream: Stream::Mixed,
+        blocking: None,
+    }
+}
+
 fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
     prop_oneof![
         Just(ReplacementPolicy::Lru),
@@ -287,13 +436,23 @@ fn arb_mode() -> impl Strategy<Value = Mode> {
     ]
 }
 
+fn arb_stream() -> impl Strategy<Value = Stream> {
+    prop_oneof![Just(Stream::Mixed), Just(Stream::Bursty)]
+}
+
+/// A blocking seed three times in four, no blocked slot otherwise.
+fn arb_blocking() -> impl Strategy<Value = Option<u64>> {
+    prop::option::of(0u64..1_000_000)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The batched/epoch path and the per-op reference produce identical
     /// simulations: reports, PMCs, LLC statistics, per-owner attribution
     /// and shadow misses all match exactly — on the single-socket and the
-    /// two-socket machine.
+    /// two-socket machine, for both streams, with and without blocked
+    /// slots.
     #[test]
     fn batched_path_is_bit_identical_to_reference(
         policy in arb_policy(),
@@ -303,9 +462,16 @@ proptest! {
         budgets in prop::collection::vec(500u64..30_000, 1..5),
         shadow in prop_oneof![Just(false), Just(true)],
         sockets in prop_oneof![Just(1usize), Just(2)],
+        stream in arb_stream(),
+        blocking in arb_blocking(),
     ) {
-        let batched = run_path(EnginePath::Batched, policy, mode, seed, workload_count, &budgets, shadow, sockets);
-        let reference = run_path(EnginePath::Reference, policy, mode, seed, workload_count, &budgets, shadow, sockets);
+        let scenario = Scenario {
+            stream,
+            blocking,
+            ..mixed(policy, mode, seed, workload_count, budgets, shadow, sockets)
+        };
+        let batched = run_path(EnginePath::Batched, &scenario);
+        let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(batched, reference);
     }
 
@@ -313,7 +479,8 @@ proptest! {
     /// multi-socket placements (slots straddling both sockets run on
     /// separate threads), shadow attribution on and off, and both execution
     /// modes — including Alternative, which degenerates to a single
-    /// populated socket and exercises the serial fallback.
+    /// populated socket and exercises the serial fallback. Both streams,
+    /// with and without blocked slots.
     #[test]
     fn parallel_path_is_bit_identical_to_reference(
         policy in arb_policy(),
@@ -322,9 +489,16 @@ proptest! {
         workload_count in 2usize..4,
         budgets in prop::collection::vec(500u64..30_000, 1..5),
         shadow in prop_oneof![Just(false), Just(true)],
+        stream in arb_stream(),
+        blocking in arb_blocking(),
     ) {
-        let parallel = run_path(EnginePath::Parallel, policy, mode, seed, workload_count, &budgets, shadow, 2);
-        let reference = run_path(EnginePath::Reference, policy, mode, seed, workload_count, &budgets, shadow, 2);
+        let scenario = Scenario {
+            stream,
+            blocking,
+            ..mixed(policy, mode, seed, workload_count, budgets, shadow, 2)
+        };
+        let parallel = run_path(EnginePath::Parallel, &scenario);
+        let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(parallel, reference);
     }
 
@@ -341,9 +515,16 @@ proptest! {
         budgets in prop::collection::vec(500u64..20_000, 1..4),
         shadow in prop_oneof![Just(false), Just(true)],
         sockets in prop_oneof![Just(4usize), Just(8)],
+        stream in arb_stream(),
+        blocking in arb_blocking(),
     ) {
-        let parallel = run_path(EnginePath::Parallel, policy, mode, seed, workload_count, &budgets, shadow, sockets);
-        let reference = run_path(EnginePath::Reference, policy, mode, seed, workload_count, &budgets, shadow, sockets);
+        let scenario = Scenario {
+            stream,
+            blocking,
+            ..mixed(policy, mode, seed, workload_count, budgets, shadow, sockets)
+        };
+        let parallel = run_path(EnginePath::Parallel, &scenario);
+        let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(parallel, reference);
     }
 
@@ -354,9 +535,14 @@ proptest! {
         policy in arb_policy(),
         seed in 0u64..1_000_000,
         budgets in prop::collection::vec(10_000u64..200_000, 1..4),
+        stream in arb_stream(),
     ) {
-        let batched = run_path(EnginePath::Batched, policy, Mode::Parallel, seed, 1, &budgets, false, 1);
-        let reference = run_path(EnginePath::Reference, policy, Mode::Parallel, seed, 1, &budgets, false, 1);
+        let scenario = Scenario {
+            stream,
+            ..mixed(policy, Mode::Parallel, seed, 1, budgets, false, 1)
+        };
+        let batched = run_path(EnginePath::Batched, &scenario);
+        let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(batched, reference);
     }
 }
@@ -367,27 +553,21 @@ proptest! {
 #[test]
 fn carried_op_buffers_preserve_the_stream_across_calls() {
     let many_small_budgets: Vec<u64> = (0..12).map(|i| 700 + i * 137).collect();
-    let one_big_budget = [many_small_budgets.iter().sum::<u64>()];
-    let split = run_path(
-        EnginePath::Batched,
-        ReplacementPolicy::Lru,
-        Mode::Parallel,
-        99,
-        2,
-        &many_small_budgets,
-        false,
-        1,
-    );
-    let joined = run_path(
-        EnginePath::Batched,
-        ReplacementPolicy::Lru,
-        Mode::Parallel,
-        99,
-        2,
-        &one_big_budget,
-        false,
-        1,
-    );
+    let one_big_budget = vec![many_small_budgets.iter().sum::<u64>()];
+    let run = |budgets: Vec<u64>| {
+        let scenario = mixed(
+            ReplacementPolicy::Lru,
+            Mode::Parallel,
+            99,
+            2,
+            budgets,
+            false,
+            1,
+        );
+        run_path(EnginePath::Batched, &scenario)
+    };
+    let split = run(many_small_budgets);
+    let joined = run(one_big_budget);
     // Not bit-identical (quantum boundaries differ: each call lets every
     // slot overshoot its budget by at most one op) but the same op streams
     // were consumed, so instruction counts must be very close.

@@ -103,14 +103,20 @@ pub fn to_chrome_json(doc: &TraceDoc) -> String {
     out
 }
 
+/// Deepest array/object nesting [`validate_json`] accepts. The checker
+/// recurses once per level, so the cap bounds its stack use on hostile
+/// input; trace exports nest three levels deep.
+pub const MAX_JSON_DEPTH: usize = 1024;
+
 /// A minimal JSON syntax checker: accepts exactly the RFC 8259 grammar
 /// (objects, arrays, strings with escapes, numbers, `true`/`false`/
-/// `null`) and reports the byte offset of the first violation.
+/// `null`) nested at most [`MAX_JSON_DEPTH`] levels deep, and reports the
+/// byte offset of the first violation.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
+    parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -124,10 +130,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+/// Parses one value whose enclosing arrays and objects are `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos),
         Some(b't') => parse_literal(bytes, pos, b"true"),
         Some(b'f') => parse_literal(bytes, pos, b"false"),
@@ -225,7 +236,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     Err("unterminated string".to_string())
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     *pos += 1; // {
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
@@ -244,7 +255,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
+        parse_value(bytes, pos, depth)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -257,7 +268,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     *pos += 1; // [
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
@@ -266,7 +277,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     }
     loop {
         skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
+        parse_value(bytes, pos, depth)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -321,5 +332,27 @@ mod tests {
         assert!(validate_json("[1] trailing").is_err());
         assert!(validate_json("01").is_ok()); // lenient: leading zeros pass the syntax check
         assert!(validate_json("1.").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        validate_json(&at_cap).unwrap();
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_JSON_DEPTH),
+            "}".repeat(MAX_JSON_DEPTH)
+        );
+        validate_json(&objects).unwrap();
+        let past_cap = format!("[{at_cap}]");
+        let err = validate_json(&past_cap).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Hostile input: far deeper than any stack would survive unbounded.
+        let err = validate_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 }

@@ -40,7 +40,7 @@ pub mod format;
 pub mod profile;
 pub mod sink;
 
-pub use chrome::{to_chrome_json, validate_json};
+pub use chrome::{to_chrome_json, validate_json, MAX_JSON_DEPTH};
 pub use format::{DocEvent, TraceDoc, TraceFormatError, TRACE_FORMAT_VERSION};
 pub use profile::{CycleProfile, ProfileRow};
 pub use sink::{bucket_index, Event, Histogram, TraceConfig, TraceSink, HIST_BUCKETS};

@@ -24,7 +24,11 @@ use kyoto_sim::workload::{Op, Workload};
 /// Note on granularity: the engine prefetches ops in chunks ahead of
 /// execution, so a burst shorter than one tick's budget drains during the
 /// first scheduled tick and the vCPU runs exactly one tick per wake. Larger
-/// bursts simply span several consecutive ticks before the WFI.
+/// bursts simply span several consecutive ticks before the WFI. Padding is
+/// filled in bulk: a fetch past the end of the burst takes the rest of the
+/// burst from the inner model in one batch and fills the remainder with
+/// idle ops in one pass, and the engine retires runs of idle ops without
+/// interleaving them op by op.
 #[derive(Debug, Clone)]
 pub struct Interactive<W> {
     name: String,
@@ -62,15 +66,32 @@ impl<W: Workload> Interactive<W> {
     }
 }
 
+/// The idle op a drained burst pads fetches with.
+const IDLE: Op = Op::Compute { cycles: 1 };
+
 impl<W: Workload + Clone + 'static> Workload for Interactive<W> {
     fn next_op(&mut self) -> Op {
         if self.remaining == 0 {
             // The burst drained mid-fetch: pad the already-requested chunk
             // with idle compute. The vCPU blocks at the end of the tick.
-            return Op::Compute { cycles: 1 };
+            return IDLE;
         }
         self.remaining -= 1;
         self.inner.next_op()
+    }
+
+    fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
+        // The rest of the burst in one batch from the inner model, then the
+        // idle padding in one fill.
+        let burst = buf.len().min(self.remaining as usize);
+        let filled = self.inner.fill_ops(&mut buf[..burst]);
+        self.remaining -= filled as u32;
+        if filled < burst {
+            // A finite inner stream ran short: the burst is not over.
+            return filled;
+        }
+        buf[burst..].fill(IDLE);
+        buf.len()
     }
 
     fn name(&self) -> &str {

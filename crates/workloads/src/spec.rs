@@ -449,7 +449,7 @@ impl SpecWorkload {
 }
 
 impl Workload for SpecWorkload {
-    #[inline]
+    #[inline(always)]
     fn next_op(&mut self) -> Op {
         let t = self.thresholds;
         let draw = self.rng.next_u64();
@@ -490,6 +490,17 @@ impl Workload for SpecWorkload {
         } else {
             Op::Store { addr }
         }
+    }
+
+    // An explicit loop over the always-inlined `next_op`. Left to the
+    // inliner, the generator body (which also has `Interactive::next_op`
+    // and the vtable as callers) can stay out of line here, which costs a
+    // call per op on the engine's fetch path.
+    fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
+        for op in buf.iter_mut() {
+            *op = self.next_op();
+        }
+        buf.len()
     }
 
     fn name(&self) -> &str {
