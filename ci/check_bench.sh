@@ -18,15 +18,7 @@
 #      an enum when off, so the trace-off batched rate must stay at the
 #      untraced batched rate (~1.0 up to wall-clock noise), or
 #
-#   4. the engine's blocked-slot skip stops paying off
-#      (`blocked_skip_benefit.half_blocked_vs_all_runnable`): with half of
-#      an eight-slot set parked, the nominal-cycle rate must beat the
-#      all-runnable rate by a clear margin (the parked half is never
-#      walked). The committed baseline is ~2x; the 1.3x floor leaves room
-#      for runner noise while catching the skip degrading into a
-#      walk-and-discard, or
-#
-#   5. installing a zero-rate fault plan costs measurable throughput
+#   4. installing a zero-rate fault plan costs measurable throughput
 #      (`fault_machinery_overhead.zero_rate_plan_vs_no_plan`): a plan that
 #      schedules nothing must be free, so the epoch-rate ratio should sit
 #      near 1.0. The floor is tolerant (wall-clock noise on a short run)
@@ -45,7 +37,6 @@
 #   PARALLEL_MIN_SPEEDUP=1.3 ci/check_bench.sh    # override the parallel floor
 #   KYOTO_MIN_FAULT_OVERHEAD_RATIO=0.9 ci/check_bench.sh  # override the fault floor
 #   KYOTO_MIN_TRACE_OFF_RATIO=0.9 ci/check_bench.sh       # override the trace floor
-#   KYOTO_MIN_BLOCKED_SKIP=1.5 ci/check_bench.sh          # override the blocked-skip floor
 set -euo pipefail
 
 file="${1:-BENCH_substrate.json}"
@@ -53,7 +44,6 @@ floor="${BENCH_MIN_SPEEDUP:-1.5}"
 parallel_floor="${PARALLEL_MIN_SPEEDUP:-1.1}"
 fault_floor="${KYOTO_MIN_FAULT_OVERHEAD_RATIO:-0.8}"
 trace_floor="${KYOTO_MIN_TRACE_OFF_RATIO:-0.95}"
-blocked_floor="${KYOTO_MIN_BLOCKED_SKIP:-1.3}"
 
 if [ ! -f "$file" ]; then
     echo "error: $file not found (run: cargo run --release -p kyoto-bench --bin substrate_baseline)" >&2
@@ -148,31 +138,6 @@ awk -v floor="$trace_floor" '
     END {
         if (seen == 0) {
             print "error: no trace_overhead entry found" > "/dev/stderr"
-            exit 2
-        }
-        exit bad
-    }
-' "$file"
-
-echo "Checking blocked-slot skip benefit in $file (floor: ${blocked_floor}x)"
-awk -v floor="$blocked_floor" '
-    /"blocked_skip_benefit"/ { in_block = 1; next }
-    in_block && /}/ { in_block = 0 }
-    in_block && /half_blocked_vs_all_runnable/ {
-        line = $0
-        gsub(/[",]/, "", line)
-        split(line, kv, ":")
-        value = kv[2] + 0
-        seen += 1
-        printf "  half_blocked_vs_all_runnable: %.2fx\n", value
-        if (value < floor) {
-            printf "  ^^^ below the %.2fx floor: blocked slots must be skipped, not walked\n", floor
-            bad = 1
-        }
-    }
-    END {
-        if (seen == 0) {
-            print "error: no blocked_skip_benefit entry found" > "/dev/stderr"
             exit 2
         }
         exit bad

@@ -14,9 +14,8 @@
 # through the kyoto-service admission controller, whose table embeds the
 # telemetry record stream and a mid-trace checkpoint/restore check that
 # panics on divergence — and the interactive scenario: sleep-mostly VMs
-# whose Ready/Running/Blocked lifecycle exercises the engine's
-# blocked-slot skip and the seeded wake-event sources under both
-# engines) — and fails on any byte of divergence. A third
+# whose Ready/Running/Blocked lifecycle and seeded wake-event sources run
+# under both engine entry points) — and fails on any byte of divergence. A third
 # serial run guards against run-to-run nondeterminism (uninitialised
 # state, map iteration order, ...).
 #

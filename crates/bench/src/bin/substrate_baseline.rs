@@ -23,6 +23,8 @@ use kyoto_cluster::faults::{FaultPlan, FaultPlanConfig};
 use kyoto_cluster::planner::{ConsolidationPolicy, PlannerConfig};
 use kyoto_cluster::snapshot::CellId;
 use kyoto_experiments::cloudscale;
+use kyoto_experiments::config::ExperimentConfig;
+use kyoto_hypervisor::placement::PlacementPolicy;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_sim::cache::{Cache, CacheConfig};
 use kyoto_sim::engine::{ExecSlot, SimEngine};
@@ -219,12 +221,13 @@ fn traced_engine_rate(slots: usize, scale: u64, enabled: bool) -> f64 {
     })
 }
 
-/// Throughput of the serial (`run_slots`) or socket-parallel
-/// (`run_slots_parallel`) path on the two-socket NUMA machine, with `slots`
-/// gcc-like workloads spread evenly across both sockets (4 cores per
-/// socket: slot `i` runs on core `(i % 2) * 4 + i / 2`). The simulation
-/// results of the two paths are bit-identical per socket — the equivalence
-/// property tests prove it — so the ratio is a pure wall-clock speedup.
+/// Throughput of `run_slots` (socket components run inline, the "serial"
+/// rows) or `run_slots_parallel` (components on threads) on the two-socket
+/// NUMA machine, with `slots` gcc-like workloads spread evenly across both
+/// sockets (4 cores per socket: slot `i` runs on core `(i % 2) * 4 + i / 2`).
+/// The simulation results of the two entry points are bit-identical — the
+/// equivalence property tests prove it — so the ratio is a pure wall-clock
+/// speedup.
 fn numa_engine_rate(slots: usize, scale: u64, parallel: bool) -> f64 {
     const BUDGET: u64 = 100_000;
     let machine = Machine::new(MachineConfig::scaled_paper_numa_machine(scale));
@@ -251,38 +254,7 @@ fn numa_engine_rate(slots: usize, scale: u64, parallel: bool) -> f64 {
     })
 }
 
-/// Throughput of the serial path on the two-socket NUMA machine with eight
-/// gcc-like slots (same core mapping as [`numa_engine_rate`]), with either
-/// every slot runnable or every other slot marked [`ExecSlot::blocked`].
-/// Blocked slots are skipped without charging cycles, so the rate — in
-/// nominal cycles over the full slot set, blocked or not — should rise
-/// well past the all-runnable row; `ci/check_bench.sh` gates the ratio
-/// (`blocked_skip_benefit`) so the skip path never silently degrades into
-/// "walk the slot anyway and discard the work".
-fn blocked_engine_rate(scale: u64, half_blocked: bool) -> f64 {
-    const BUDGET: u64 = 100_000;
-    const SLOTS: usize = 8;
-    let machine = Machine::new(MachineConfig::scaled_paper_numa_machine(scale));
-    let cores_per_socket = machine.config().cores_per_socket;
-    let mut engine = SimEngine::new(machine);
-    let mut workloads: Vec<SpecWorkload> = (0..SLOTS)
-        .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
-        .collect();
-    best_rate((BUDGET * SLOTS as u64) as f64, || {
-        let mut slot_refs: Vec<ExecSlot<'_>> = workloads
-            .iter_mut()
-            .enumerate()
-            .map(|(i, w)| {
-                let core = (i % 2) * cores_per_socket + i / 2;
-                ExecSlot::new(CoreId(core), i as u16 + 1, w)
-                    .with_blocked(half_blocked && i % 2 == 1)
-            })
-            .collect();
-        black_box(engine.run_slots(&mut slot_refs, BUDGET));
-    })
-}
-
-/// Throughput of the serial or socket-parallel path on an N-socket cloud
+/// Throughput of `run_slots` or `run_slots_parallel` on an N-socket cloud
 /// machine with two gcc-like slots per socket (slot `i` runs on core
 /// `(i % sockets) * cores_per_socket + i / sockets`, so every socket hosts
 /// two slots). Same bit-identical-per-socket guarantee as
@@ -312,6 +284,71 @@ fn cloud_engine_rate(sockets: usize, scale: u64, parallel: bool) -> f64 {
         };
         black_box(reports);
     })
+}
+
+/// One point of the parallel-engine scaling curve: the same cloudscale cell
+/// executed with the serial and the socket-parallel engine, timed.
+struct ScalingPoint {
+    /// Sockets of the machine.
+    sockets: usize,
+    /// VMs consolidated onto it.
+    vms: usize,
+    /// Wall-clock seconds of the serial-engine run.
+    serial_secs: f64,
+    /// Wall-clock seconds of the parallel-engine run.
+    parallel_secs: f64,
+}
+
+impl ScalingPoint {
+    /// Serial / parallel wall-clock ratio (>1 means the parallel engine
+    /// helped; needs as many hardware threads as sockets to approach the
+    /// socket count).
+    fn speedup(&self) -> f64 {
+        if self.parallel_secs <= 0.0 {
+            0.0
+        } else {
+            self.serial_secs / self.parallel_secs
+        }
+    }
+}
+
+/// Measures parallel-engine wall-clock scaling on cloudscale cells of
+/// `socket_counts` sockets (`vms_per_socket` VMs each), running each cell
+/// once with the serial and once with the socket-parallel engine and taking
+/// the best of `reps` repetitions. The simulation outputs of the two runs
+/// are bit-identical; only the wall-clock differs.
+fn measure_parallel_scaling(
+    config: &ExperimentConfig,
+    socket_counts: &[usize],
+    vms_per_socket: usize,
+    reps: usize,
+) -> Vec<ScalingPoint> {
+    let time_cell = |parallel: bool, sockets: usize| -> f64 {
+        let run_config = config.with_parallel_engine(parallel);
+        let mut best = f64::INFINITY;
+        for _ in 0..reps.max(1) {
+            let start = Instant::now();
+            let cell = cloudscale::run_cell(
+                &run_config,
+                sockets,
+                sockets * vms_per_socket,
+                PlacementPolicy::RoundRobin,
+            );
+            let elapsed = start.elapsed().as_secs_f64();
+            black_box(cell);
+            best = best.min(elapsed);
+        }
+        best
+    };
+    socket_counts
+        .iter()
+        .map(|&sockets| ScalingPoint {
+            sockets,
+            vms: sockets * vms_per_socket,
+            serial_secs: time_cell(false, sockets),
+            parallel_secs: time_cell(true, sockets),
+        })
+        .collect()
 }
 
 /// Wall-clock rate (epochs/second) of the cluster control loop on a fleet
@@ -495,25 +532,6 @@ fn main() {
         (off / untraced_4slots, off / on)
     };
 
-    // Blocked-slot skip benefit: eight slots with half of them parked must
-    // finish the same nominal cycle budget measurably faster than the
-    // all-runnable run, because the engine never walks a blocked slot.
-    let blocked_skip_benefit = {
-        let all_runnable = blocked_engine_rate(config.scale, false);
-        let half_blocked = blocked_engine_rate(config.scale, true);
-        samples.push(Sample {
-            name: "run_slots_all_runnable_8slots",
-            unit: "Msimcycles/s",
-            value: all_runnable / 1e6,
-        });
-        samples.push(Sample {
-            name: "run_slots_half_blocked_8slots",
-            unit: "Msimcycles/s",
-            value: half_blocked / 1e6,
-        });
-        half_blocked / all_runnable
-    };
-
     // Socket-parallel engine on the two-socket machine: slots split evenly
     // across both sockets, serial `run_slots` vs `run_slots_parallel`.
     // The speedup is machine-dependent (it needs at least two hardware
@@ -575,7 +593,7 @@ fn main() {
         });
         cloud_speedups.push((sockets, parallel / serial));
     }
-    let scaling_curve = cloudscale::measure_parallel_scaling(&config, &[1, 2, 4, 8], 2, 3);
+    let scaling_curve = measure_parallel_scaling(&config, &[1, 2, 4, 8], 2, 3);
 
     // Cluster control loop: whole-fleet epochs, serial vs cell-parallel.
     let mut cluster_speedups: Vec<(usize, f64)> = Vec::new();
@@ -726,12 +744,6 @@ fn main() {
     json.push_str("  \"trace_overhead\": {\n");
     let _ = writeln!(json, "    \"off_vs_untraced\": {trace_off_vs_untraced:.2},");
     let _ = writeln!(json, "    \"off_vs_on\": {trace_off_vs_on:.2}");
-    json.push_str("  },\n");
-    json.push_str("  \"blocked_skip_benefit\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"half_blocked_vs_all_runnable\": {blocked_skip_benefit:.2}"
-    );
     json.push_str("  },\n");
     json.push_str("  \"fleet_churn_parallel_vs_serial\": {\n");
     for (i, (cells, speedup)) in churn_speedups.iter().enumerate() {

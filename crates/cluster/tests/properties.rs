@@ -761,7 +761,10 @@ fn a_pending_wake_survives_migration_and_fires_on_the_destination() {
     // after which the drained burst parks the vCPU again.
     cluster.run_epoch().unwrap();
     let report = cluster.report(sleeper).unwrap();
-    assert_eq!(report.ticks_scheduled, 2, "the pending wake fired on arrival's cell");
+    assert_eq!(
+        report.ticks_scheduled, 2,
+        "the pending wake fired on arrival's cell"
+    );
     assert_eq!(cluster.wake_clock(sleeper), Some(11));
     assert_eq!(cluster.vcpu_state(sleeper), Some(VcpuState::Blocked));
     assert_eq!(

@@ -17,9 +17,9 @@
 //! socket-parallel engine (`--parallel-engine`): `run_slots_parallel`
 //! preserves per-socket op order exactly, which `engine_equivalence.rs`
 //! proves at 4 and 8 sockets. Wall-clock scaling of the parallel engine is
-//! measured separately by [`measure_parallel_scaling`] (consumed by the
-//! `substrate_baseline` binary), so the deterministic report stays free of
-//! timing noise.
+//! measured separately by the `substrate_baseline` binary of `kyoto-bench`
+//! (its `parallel_scaling_curve`, timed around [`run_cell`]), so the
+//! deterministic report stays free of timing noise.
 
 use crate::config::ExperimentConfig;
 use crate::harness::{calibrate_permits, run_jobs, spec_workload, warmup_and_measure, Measurement};
@@ -529,75 +529,6 @@ pub fn run_with_sweep(config: &ExperimentConfig, sweep: &CloudscaleSweep) -> Clo
 /// Runs the standard cloudscale sweep.
 pub fn run(config: &ExperimentConfig) -> CloudscaleResult {
     run_with_sweep(config, &CloudscaleSweep::standard())
-}
-
-/// One point of the parallel-engine scaling curve: the same cell executed
-/// with the serial and the socket-parallel engine, timed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Sockets of the machine.
-    pub sockets: usize,
-    /// VMs consolidated onto it.
-    pub vms: usize,
-    /// Wall-clock seconds of the serial-engine run.
-    pub serial_secs: f64,
-    /// Wall-clock seconds of the parallel-engine run.
-    pub parallel_secs: f64,
-}
-
-impl ScalingPoint {
-    /// Serial / parallel wall-clock ratio (>1 means the parallel engine
-    /// helped; needs as many hardware threads as sockets to approach the
-    /// socket count).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_secs <= 0.0 {
-            0.0
-        } else {
-            self.serial_secs / self.parallel_secs
-        }
-    }
-}
-
-/// Measures parallel-engine wall-clock scaling on cloudscale cells of
-/// `socket_counts` sockets (`vms_per_socket` VMs each), running each cell
-/// once with the serial and once with the socket-parallel engine and taking
-/// the best of `reps` repetitions. The simulation outputs of the two runs
-/// are bit-identical; only the wall-clock differs. Consumed by the
-/// `substrate_baseline` binary for `BENCH_substrate.json`'s
-/// `parallel_scaling_curve` series.
-pub fn measure_parallel_scaling(
-    config: &ExperimentConfig,
-    socket_counts: &[usize],
-    vms_per_socket: usize,
-    reps: usize,
-) -> Vec<ScalingPoint> {
-    let time_cell = |parallel: bool, sockets: usize| -> f64 {
-        let run_config = config.with_parallel_engine(parallel);
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            // kyoto-lint: allow(wall-clock): this function *measures* wall-clock speedup; timing never feeds back into simulated results
-            let start = std::time::Instant::now();
-            let cell = run_cell(
-                &run_config,
-                sockets,
-                sockets * vms_per_socket,
-                PlacementPolicy::RoundRobin,
-            );
-            let elapsed = start.elapsed().as_secs_f64();
-            std::hint::black_box(cell);
-            best = best.min(elapsed);
-        }
-        best
-    };
-    socket_counts
-        .iter()
-        .map(|&sockets| ScalingPoint {
-            sockets,
-            vms: sockets * vms_per_socket,
-            serial_secs: time_cell(false, sockets),
-            parallel_secs: time_cell(true, sockets),
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -110,12 +110,7 @@ fn mean_wake_latency(
     // periodic timer wakes it at every multiple of the period.
     let wakes = (0..total_ticks).filter(|&t| t == 0 || t.is_multiple_of(period));
     let latencies: Vec<f64> = wakes
-        .filter_map(|w| {
-            scheduled
-                .iter()
-                .find(|&&s| s >= w)
-                .map(|&s| (s - w) as f64)
-        })
+        .filter_map(|w| scheduled.iter().find(|&&s| s >= w).map(|&s| (s - w) as f64))
         .collect();
     if latencies.is_empty() {
         None

@@ -294,7 +294,9 @@ mod tests {
         assert!(names.contains(&"vm.block"), "services must park (WFI)");
         assert!(names.contains(&"vm.wake"), "timer wakes must be recorded");
         assert!(
-            doc.counters.iter().any(|(name, value)| name.contains("blocked_cycles") && *value > 0),
+            doc.counters
+                .iter()
+                .any(|(name, value)| name.contains("blocked_cycles") && *value > 0),
             "blocked-cycles counters must be exported"
         );
     }

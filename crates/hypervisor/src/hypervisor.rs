@@ -79,11 +79,12 @@ pub struct HypervisorConfig {
     /// Record a per-vCPU, per-tick history (needed by the trace figures,
     /// Fig. 2 and Fig. 5; costs memory on long runs).
     pub record_history: bool,
-    /// Execute each tick through [`SimEngine::run_slots_parallel`], running
-    /// every socket's vCPUs on its own thread. Simulation results are
-    /// bit-identical to the serial engine (the parallel path preserves the
-    /// per-socket op order exactly); only wall-clock time changes, so this
-    /// is purely a throughput switch for multi-socket scenarios.
+    /// Execute each tick through [`SimEngine::run_slots_parallel`] instead of
+    /// [`SimEngine::run_slots`]. Both run the same batched body, split into
+    /// socket components; this switch only puts two or more components on
+    /// their own threads. Simulation results are bit-identical either way
+    /// (the per-socket op order is the same); only wall-clock time changes,
+    /// so this is purely a throughput switch for multi-socket scenarios.
     pub parallel_engine: bool,
 }
 
@@ -1374,7 +1375,10 @@ mod tests {
         hv.run_ticks(10);
         let report = hv.report(vm).unwrap();
         assert_eq!(hv.vcpu_state(VcpuId::new(vm, 0)), Some(VcpuState::Blocked));
-        assert_eq!(report.ticks_scheduled, 1, "one burst, then WFI with no wakes");
+        assert_eq!(
+            report.ticks_scheduled, 1,
+            "one burst, then WFI with no wakes"
+        );
         assert_eq!(report.ticks_blocked, 9);
         assert_eq!(report.ticks_elapsed, 10);
         assert!((report.blocked_fraction() - 0.9).abs() < 1e-12);
@@ -1459,10 +1463,16 @@ mod tests {
 
         let mut dest = xen_hypervisor(machine());
         let new = dest.admit_vm(taken).unwrap();
-        assert_eq!(dest.vcpu_state(VcpuId::new(new, 0)), Some(VcpuState::Blocked));
+        assert_eq!(
+            dest.vcpu_state(VcpuId::new(new, 0)),
+            Some(VcpuState::Blocked)
+        );
         assert_eq!(dest.wake_clock(new), Some(5));
         dest.run_ticks(5); // wake clock 5..9: the tick-10 timer is still pending
-        assert_eq!(dest.vcpu_state(VcpuId::new(new, 0)), Some(VcpuState::Blocked));
+        assert_eq!(
+            dest.vcpu_state(VcpuId::new(new, 0)),
+            Some(VcpuState::Blocked)
+        );
         assert_eq!(dest.report(new).unwrap().ticks_scheduled, 0);
         dest.run_ticks(1); // wake clock 10: the timer fires at its original VM-local tick
         assert_eq!(dest.report(new).unwrap().ticks_scheduled, 1);

@@ -172,7 +172,11 @@ mod tests {
             (Ready, Blocked, false),
             (Blocked, Running, false),
         ] {
-            assert_eq!(VcpuState::legal_transition(from, to), legal, "{from:?}→{to:?}");
+            assert_eq!(
+                VcpuState::legal_transition(from, to),
+                legal,
+                "{from:?}→{to:?}"
+            );
         }
         for state in [Ready, Running, Blocked] {
             assert!(VcpuState::legal_transition(state, state));

@@ -62,7 +62,10 @@ fn build_wake(kind: usize, param: u64, seed: u64) -> Option<WakeSource> {
     }
 }
 
-fn add_vms(hv: &mut Hypervisor<CreditScheduler>, specs: &[VmSpec]) -> Vec<(VmId, Option<WakeSource>)> {
+fn add_vms(
+    hv: &mut Hypervisor<CreditScheduler>,
+    specs: &[VmSpec],
+) -> Vec<(VmId, Option<WakeSource>)> {
     specs
         .iter()
         .enumerate()
@@ -123,7 +126,11 @@ fn drive_and_check(
             scheduled_count += sample.scheduled as usize;
 
             // Between ticks only Ready and Blocked exist.
-            assert_ne!(next, VcpuState::Running, "Running must not leak out of a tick");
+            assert_ne!(
+                next,
+                VcpuState::Running,
+                "Running must not leak out of a tick"
+            );
             // 1. Transition legality, with Running inserted when scheduled.
             if sample.scheduled {
                 let woke = prev == VcpuState::Blocked;
@@ -349,7 +356,10 @@ fn credit_accounting_freezes_while_a_vcpu_is_blocked() {
         assert!(!hv.scheduler().is_capped_out(sleepy));
         assert_eq!(hv.scheduler().priority(sleepy), Priority::Under);
     }
-    assert!(!burned_while_blocked, "a sleeping vCPU must never burn credit");
+    assert!(
+        !burned_while_blocked,
+        "a sleeping vCPU must never burn credit"
+    );
     assert!(busy_ever_burned, "the busy vCPU does burn credit (sanity)");
 }
 

@@ -24,6 +24,10 @@
 //! | `depart_rate X` | expected `DepartVm` requests per epoch             |
 //! | `query_rate X`  | expected `QueryTelemetry` requests per epoch       |
 //!
+//! Every rate `X` must lie in `0..=`[`MAX_RATE`] (1024): an epoch draws at
+//! most `X + 1` requests per rate, so no trace can make an epoch allocate
+//! without bound.
+//!
 //! Scripted entries follow, in application order within their epoch:
 //!
 //! | entry                  | request                                     |
@@ -46,6 +50,12 @@ use serde::{Deserialize, Serialize};
 
 /// Current on-disk trace format version.
 pub const TRACE_VERSION: u32 = 1;
+
+/// Largest request rate per epoch a trace may declare, for each of
+/// `place_rate`, `depart_rate` and `query_rate`. [`RequestTrace::parse`]
+/// rejects larger rates and [`RequestTrace::new`] clamps them. The largest
+/// rate any scenario uses is 3.0.
+pub const MAX_RATE: f64 = 1024.0;
 
 /// One control-plane request, addressed to the service at an epoch
 /// boundary.
@@ -176,8 +186,21 @@ impl std::fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 impl RequestTrace {
-    /// Creates a trace.
-    pub fn new(config: RequestTraceConfig) -> Self {
+    /// Creates a trace. Rates are clamped to `0..=`[`MAX_RATE`] (a NaN rate
+    /// becomes 0), so [`RequestTrace::parse`] accepts what
+    /// [`RequestTrace::render`] makes of every trace.
+    pub fn new(mut config: RequestTraceConfig) -> Self {
+        for rate in [
+            &mut config.place_rate,
+            &mut config.depart_rate,
+            &mut config.query_rate,
+        ] {
+            *rate = if rate.is_nan() {
+                0.0
+            } else {
+                rate.clamp(0.0, MAX_RATE)
+            };
+        }
         RequestTrace { config }
     }
 
@@ -248,7 +271,8 @@ impl RequestTrace {
     ///
     /// [`TraceParseError::UnsupportedVersion`] when the first directive is
     /// not `version 1`; [`TraceParseError::MalformedLine`] for any line
-    /// that is neither a directive, a scripted entry, a comment nor blank.
+    /// that is neither a directive, a scripted entry, a comment nor blank,
+    /// and for a rate outside `0..=`[`MAX_RATE`].
     pub fn parse(text: &str) -> Result<RequestTrace, TraceParseError> {
         let mut config = RequestTraceConfig::new(0, 0);
         let mut saw_version = false;
@@ -292,7 +316,7 @@ impl RequestTrace {
                         .next()
                         .and_then(|w| w.parse().ok())
                         .ok_or_else(malformed)?;
-                    if words.next().is_some() || !value.is_finite() || value < 0.0 {
+                    if words.next().is_some() || !(0.0..=MAX_RATE).contains(&value) {
                         return Err(malformed());
                     }
                     match key {
@@ -433,5 +457,37 @@ mod tests {
         assert!(RequestTrace::parse("version 1\nplace_rate -1\n").is_err());
         assert!(RequestTrace::parse("version 1\nat 1 depart\n").is_err());
         assert!(RequestTrace::parse("version 1\nat 1 place extra\n").is_err());
+    }
+
+    #[test]
+    fn rates_above_max_rate_are_rejected_and_max_rate_parses() {
+        for key in ["place_rate", "depart_rate", "query_rate"] {
+            assert!(
+                matches!(
+                    RequestTrace::parse(&format!("version 1\n{key} 1e18\n")),
+                    Err(TraceParseError::MalformedLine { line: 2, .. })
+                ),
+                "{key} 1e18 must be rejected"
+            );
+            let trace = RequestTrace::parse(&format!("version 1\n{key} {MAX_RATE}\n")).unwrap();
+            let config = trace.config();
+            let rates = [config.place_rate, config.depart_rate, config.query_rate];
+            assert!(rates.contains(&MAX_RATE), "{key} {MAX_RATE} must parse");
+        }
+    }
+
+    #[test]
+    fn new_clamps_rates_so_every_trace_round_trips() {
+        let mut config = RequestTraceConfig::new(1, 4);
+        config.place_rate = 1e18;
+        config.depart_rate = f64::NAN;
+        config.query_rate = f64::INFINITY;
+        let trace = RequestTrace::new(config);
+        let config = trace.config();
+        assert_eq!(
+            (config.place_rate, config.depart_rate, config.query_rate),
+            (MAX_RATE, 0.0, MAX_RATE)
+        );
+        assert_eq!(RequestTrace::parse(&trace.render()).unwrap(), trace);
     }
 }

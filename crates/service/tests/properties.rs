@@ -11,13 +11,16 @@
 //!    VM conservation holds, for any rates, policy and queue bound;
 //! 4. a **mid-trace checkpoint/restore resumes bit-identically**: the
 //!    telemetry a restored service publishes for the remaining epochs is
-//!    byte-equal to the original's.
+//!    byte-equal to the original's;
+//! 5. a parsed request trace is **bounded**: an epoch never yields more
+//!    than its scripted entries plus `MAX_RATE + 1` requests per rate, and
+//!    a trace parses exactly when every rate is within `0..=MAX_RATE`.
 
 use kyoto_cluster::cluster::{Cluster, ClusterConfig};
 use kyoto_cluster::snapshot::CellId;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_service::admission::{AdmissionConfig, AdmissionPolicy};
-use kyoto_service::request::{RequestTrace, RequestTraceConfig, ServiceRequest};
+use kyoto_service::request::{RequestTrace, RequestTraceConfig, ServiceRequest, MAX_RATE};
 use kyoto_service::service::{FleetService, ServiceConfig};
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
@@ -317,4 +320,50 @@ fn query_telemetry_answers_from_live_trace_counters() {
         ledger,
         "tracing must not change the ledger"
     );
+}
+
+/// A rate as trace text: small, around [`MAX_RATE`], exactly at it, far
+/// above it, infinite or negative.
+fn arb_rate_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0.0f64..4.0).prop_map(|rate| rate.to_string()),
+        (MAX_RATE - 2.0..MAX_RATE + 2.0).prop_map(|rate| rate.to_string()),
+        Just(MAX_RATE.to_string()),
+        Just("1e18".to_string()),
+        Just("inf".to_string()),
+        Just("-1".to_string()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Claim 5: whatever rates a trace file declares, a parsed trace draws a
+    /// bounded number of requests per epoch, and parsing accepts exactly
+    /// the rates within `0..=MAX_RATE`.
+    #[test]
+    fn parsed_traces_draw_a_bounded_number_of_requests_per_epoch(
+        seed in 0u64..1_000_000,
+        place in arb_rate_text(),
+        depart in arb_rate_text(),
+        query in arb_rate_text(),
+        scripted in prop::collection::vec((0u64..4, 0usize..3), 0..6),
+    ) {
+        let mut text = format!(
+            "version 1\nseed {seed}\nepochs 4\nplace_rate {place}\ndepart_rate {depart}\nquery_rate {query}\n"
+        );
+        for (epoch, verb) in &scripted {
+            text.push_str(&format!("at {epoch} {}\n", ["place", "query", "drain 0"][*verb]));
+        }
+        let in_range = |rate: &str| rate.parse::<f64>().is_ok_and(|rate| (0.0..=MAX_RATE).contains(&rate));
+        let parsed = RequestTrace::parse(&text);
+        prop_assert_eq!(parsed.is_ok(), in_range(&place) && in_range(&depart) && in_range(&query));
+        if let Ok(trace) = parsed {
+            for epoch in 0..4 {
+                let scripted_here = scripted.iter().filter(|(e, _)| *e == epoch).count();
+                let bound = scripted_here + 3 * (MAX_RATE as usize + 1);
+                prop_assert!(trace.requests_for_epoch(epoch).len() <= bound);
+            }
+        }
+    }
 }

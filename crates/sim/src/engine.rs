@@ -12,16 +12,21 @@
 //!   *successive* calls (as the hypervisor's scheduler time-shares the core)
 //!   find the LLC state left behind by the previous occupant.
 //!
-//! The default [`SimEngine::run_slots`] path batches op fetching through
-//! [`Workload::fill_ops`] and advances slots in epochs instead of
-//! re-scanning every slot per op. Only memory ops are ordering points: the
-//! furthest-behind slot runs until its next memory op would no longer be
-//! the earliest one, and every run of compute ops in between retires in one
-//! pass. Compute ops touch only their slot's own counters and memory ops
-//! still execute in the reference's `(cycle, slot index)` order, so the
+//! [`SimEngine::run_slots`] and [`SimEngine::run_slots_parallel`] share one
+//! batched body. It fetches ops through [`Workload::fill_ops`], splits the
+//! batch into socket components (sockets share no cache state) and advances
+//! each component's slots in epochs instead of re-scanning every slot per
+//! op. Only memory ops are ordering points: the furthest-behind slot runs
+//! until its next memory op would no longer be the earliest one, and every
+//! run of compute ops in between retires in one pass. Compute ops touch
+//! only their slot's own counters and memory ops still execute in the
+//! reference's `(cycle, slot index)` order within each socket, so the
 //! result is bit-identical to the per-op [`SimEngine::run_slots_reference`]
 //! path, which is kept as the semantic baseline for equivalence tests and
-//! benchmarks.
+//! benchmarks. The two entry points differ only in the executor:
+//! `run_slots` runs the components one after another on the calling
+//! thread against the whole machine, `run_slots_parallel` puts two or more
+//! of them on scoped threads, each against its own sockets' views.
 
 use crate::cache::OwnerId;
 use crate::error::SimError;
@@ -78,12 +83,6 @@ pub struct ExecSlot<'a> {
     /// core-independent tag via [`ExecSlot::with_tag`]; the hypervisor uses
     /// the vCPU key.
     pub tag: u64,
-    /// A blocked (sleeping) vCPU slot: the engine executes nothing for it
-    /// and charges zero cycles, but keeps the ops already prefetched under
-    /// its tag parked so the stream resumes exactly where it stopped when
-    /// the slot wakes. The hypervisor passes its Blocked vCPUs this way so
-    /// per-core schedules keep their shape while idle slots stay free.
-    pub blocked: bool,
     /// Cumulative counters across every call this slot participated in.
     pub pmcs: PmcSet,
 }
@@ -97,7 +96,6 @@ impl std::fmt::Debug for ExecSlot<'_> {
             .field("data_node", &self.data_node)
             .field("force_remote", &self.force_remote)
             .field("tag", &self.tag)
-            .field("blocked", &self.blocked)
             .field("pmcs", &self.pmcs)
             .finish()
     }
@@ -114,7 +112,6 @@ impl<'a> ExecSlot<'a> {
             workload,
             data_node: NumaNode(usize::MAX), // resolved lazily to the core's node
             force_remote: false,
-            blocked: false,
             pmcs: PmcSet::default(),
         }
     }
@@ -134,12 +131,6 @@ impl<'a> ExecSlot<'a> {
     /// Forces LLC misses to pay the remote-memory latency.
     pub fn with_force_remote(mut self, force: bool) -> Self {
         self.force_remote = force;
-        self
-    }
-
-    /// Marks the slot blocked (see [`ExecSlot::blocked`]).
-    pub fn with_blocked(mut self, blocked: bool) -> Self {
-        self.blocked = blocked;
         self
     }
 }
@@ -230,8 +221,9 @@ impl OpQueue {
 }
 
 /// Memory-access target of the engine's execution loops: the whole machine
-/// (serial paths) or one socket's split-borrowed view (the socket-parallel
-/// path). Monomorphised, so the per-op cost is identical either way.
+/// (the reference path and inline components), or one socket's
+/// split-borrowed view or a group of them (components on threads).
+/// Monomorphised, so the per-op loop is specialised to each target.
 trait AccessMem {
     fn access_routed(
         &mut self,
@@ -268,11 +260,11 @@ impl AccessMem for SocketView<'_> {
     }
 }
 
-/// Several sockets' split-borrowed views driven by one thread: the execution
-/// target of a merged component in [`SimEngine::run_slots_parallel`] (sockets
-/// coupled by a shadow-attributed owner that has slots on more than one of
-/// them). Single-socket components keep using [`SocketView`] directly, so the
-/// common path pays no extra indirection.
+/// Several sockets' split-borrowed views driven as one: the target of a
+/// threaded component whose sockets a shadow-attributed owner couples (it
+/// has slots on more than one of them). Single-socket components keep
+/// using [`SocketView`] directly, so the common path pays no extra
+/// indirection.
 struct SocketGroup<'a> {
     views: Vec<SocketView<'a>>,
     /// Socket index -> position in `views` (only the member sockets are
@@ -292,6 +284,78 @@ impl AccessMem for SocketGroup<'_> {
         let view = self.view_of_socket[route.socket_index()];
         self.views[view].access_routed(route, addr, kind, owner)
     }
+}
+
+/// What a component on its own thread runs against: its socket's view, or
+/// a [`SocketGroup`] when a shadow owner couples several sockets.
+enum ComponentTarget<'a> {
+    Socket(SocketView<'a>),
+    Group(SocketGroup<'a>),
+}
+
+impl<'a> ComponentTarget<'a> {
+    /// Takes the views of `sockets` out of `views` (one slot per socket of
+    /// the machine).
+    fn take(views: &mut [Option<SocketView<'a>>], sockets: &[usize]) -> Self {
+        let num_sockets = views.len();
+        let mut take = |socket: usize| {
+            views[socket]
+                .take()
+                .expect("each socket belongs to one component")
+        };
+        if let [socket] = *sockets {
+            return ComponentTarget::Socket(take(socket));
+        }
+        let mut view_of_socket = vec![usize::MAX; num_sockets];
+        let views = sockets
+            .iter()
+            .enumerate()
+            .map(|(position, &socket)| {
+                view_of_socket[socket] = position;
+                take(socket)
+            })
+            .collect();
+        ComponentTarget::Group(SocketGroup {
+            views,
+            view_of_socket,
+        })
+    }
+
+    fn run(
+        &mut self,
+        shadow: &mut Option<ShadowAttribution>,
+        lanes: &mut [Lane<'_, '_>],
+        cycle_budget: u64,
+    ) {
+        match self {
+            ComponentTarget::Socket(view) => {
+                run_epoch_interleaving(view, shadow, lanes, cycle_budget)
+            }
+            ComponentTarget::Group(group) => {
+                run_epoch_interleaving(group, shadow, lanes, cycle_budget)
+            }
+        }
+    }
+}
+
+/// One execution component of a batch: the sockets it drives, ascending,
+/// and how many of the component-ordered lanes it runs.
+struct Component {
+    sockets: Vec<usize>,
+    lanes: usize,
+}
+
+/// One slot's state during a batched call: the slot, its position in the
+/// caller's slice, its op stream, its pre-resolved route and memory-level
+/// parallelism (both static per slot, hoisted out of the per-op loop) and
+/// the report it accumulates.
+struct Lane<'s, 'w> {
+    slot: &'s mut ExecSlot<'w>,
+    index: usize,
+    queue: OpQueue,
+    route: AccessRoute,
+    mlp: f64,
+    report: QuantumReport,
 }
 
 /// Executes one micro-op for a slot, accumulating its cycle cost, counter
@@ -350,50 +414,49 @@ fn execute_op<M: AccessMem>(
     }
 }
 
-/// The batched/epoch interleaving loop shared by [`SimEngine::run_slots`]
-/// (whole machine) and the per-socket groups of
-/// [`SimEngine::run_slots_parallel`] (split-borrowed socket views).
+/// The batched/epoch interleaving loop: the batched body runs it once per
+/// socket component, against the whole machine inline or against the
+/// component's socket view or group on a thread.
 ///
 /// Only memory ops are ordering points. The loop pops the furthest-behind
-/// slot from a min-heap on `(consumed_cycles, slot index)` and runs it: a
+/// lane from a min-heap on `(consumed_cycles, lane index)` and runs it: a
 /// run of compute ops at the head of its stream retires in one pass
-/// ([`OpQueue::retire_compute_run`]), and before each memory op the slot
-/// compares its `(consumed_cycles, slot index)` with the heap minimum. If
+/// ([`OpQueue::retire_compute_run`]), and before each memory op the lane
+/// compares its `(consumed_cycles, lane index)` with the heap minimum. If
 /// it is no longer the minimum it is requeued with the memory op still at
-/// the head of its stream. A slot stops once its budget is spent.
+/// the head of its stream. A lane stops once its budget is spent.
 ///
 /// This is bit-identical to the reference path, which advances the
 /// furthest-behind slot one op at a time. Compute ops touch only the slot's
 /// own counters, so where they fall relative to other slots' ops is
 /// unobservable. Memory ops — the only ops that touch cache,
 /// replacement-policy or shadow state — still execute in increasing
-/// `(cycle, slot index)` order, the reference order: every other slot's key
+/// `(cycle, slot index)` order, the reference order: every other lane's key
 /// in the heap is a lower bound on where its next memory op starts, so a
-/// memory op whose key is below the heap minimum precedes them all.
-/// `slots`, `queues`, `routes`, `mlps` and `reports` are parallel arrays.
-#[allow(clippy::too_many_arguments)]
+/// memory op whose key is below the heap minimum precedes them all. The
+/// lanes are in ascending slot order, so the lane index breaks ties as the
+/// slot index does.
 fn run_epoch_interleaving<M: AccessMem>(
     machine: &mut M,
     shadow: &mut Option<ShadowAttribution>,
-    slots: &mut [&mut ExecSlot<'_>],
-    queues: &mut [OpQueue],
-    routes: &[AccessRoute],
-    mlps: &[f64],
-    reports: &mut [QuantumReport],
+    lanes: &mut [Lane<'_, '_>],
     cycle_budget: u64,
 ) {
-    let n = slots.len();
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n).map(|i| Reverse((0u64, i))).collect();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..lanes.len()).map(|i| Reverse((0u64, i))).collect();
     while let Some(Reverse((_, i))) = heap.pop() {
         let (limit_cycles, limit_index) = match heap.peek() {
             Some(Reverse((cycles, index))) => (*cycles, *index),
             None => (cycle_budget, usize::MAX),
         };
-        let slot = &mut *slots[i];
-        let queue = &mut queues[i];
-        let report = &mut reports[i];
-        let route = routes[i];
-        let mlp = mlps[i];
+        let Lane {
+            slot,
+            queue,
+            route,
+            mlp,
+            report,
+            ..
+        } = &mut lanes[i];
         let owner = slot.owner;
         while let Some(op) = queue.retire_compute_run(&mut *slot.workload, report, cycle_budget) {
             let consumed = report.consumed_cycles;
@@ -403,7 +466,7 @@ fn run_epoch_interleaving<M: AccessMem>(
             }
             // Consume the memory op the run left at the head.
             queue.head += 1;
-            execute_op(machine, shadow, route, owner, mlp, op, report);
+            execute_op(machine, shadow, *route, owner, *mlp, op, report);
             if report.consumed_cycles >= cycle_budget {
                 break;
             }
@@ -437,9 +500,9 @@ pub struct SimEngine {
     /// Number of batched (`run_slots` / `run_slots_parallel`) calls so far;
     /// the logical clock of the carry map's staleness accounting.
     run_calls: u64,
-    /// Worker threads the most recent [`SimEngine::run_slots_parallel`] call
-    /// spawned (0 when it fell back to the serial path). Diagnostics only —
-    /// lets tests pin which batches actually parallelise.
+    /// Worker threads the most recent batched call spawned (0 when it ran
+    /// inline). Diagnostics only — lets tests pin which batches actually
+    /// parallelise.
     last_parallel_groups: usize,
     /// The cycle-domain trace sink (disabled by default; one enabled-branch
     /// per batched call when off, bench-gated by `trace_overhead`). Cloned
@@ -477,10 +540,12 @@ impl SimEngine {
         &mut self.trace
     }
 
-    /// Worker threads the most recent [`SimEngine::run_slots_parallel`] call
-    /// used, 0 when it took the serial path (fewer than two populated
-    /// sockets, or every populated socket coupled into one component by
-    /// shadow-attributed owners).
+    /// Worker threads the most recent batched call used: the number of
+    /// socket components of a [`SimEngine::run_slots_parallel`] call that
+    /// formed two or more, and 0 when the call ran inline (every
+    /// [`SimEngine::run_slots`] call, and any batch that forms one component:
+    /// fewer than two populated sockets, or every populated socket coupled
+    /// by shadow-attributed owners).
     pub fn parallel_groups_last_call(&self) -> usize {
         self.last_parallel_groups
     }
@@ -490,11 +555,6 @@ impl SimEngine {
     /// replaced or reset, so a future reuse of the tag starts clean.
     pub fn clear_op_buffer(&mut self, tag: u64) {
         self.op_carry.remove(&tag);
-    }
-
-    /// Discards every batched op buffer (see [`SimEngine::clear_op_buffer`]).
-    pub fn clear_op_buffers(&mut self) {
-        self.op_carry.clear();
     }
 
     /// Number of batched op buffers currently carried across calls
@@ -568,8 +628,8 @@ impl SimEngine {
     /// last op of a quantum may overshoot the requested budget, this runs
     /// slightly ahead of the sum of budgets; before the fix pinned by
     /// `elapsed_cycles_track_the_busiest_slot` it silently advanced by the
-    /// budget instead, under-reporting the overshoot. The socket-parallel
-    /// path uses the same definition (the busiest slot across all sockets).
+    /// budget instead, under-reporting the overshoot. Both batched entry
+    /// points use the same definition (the busiest slot across all sockets).
     pub fn elapsed_cycles(&self) -> u64 {
         self.elapsed_cycles
     }
@@ -594,11 +654,9 @@ impl SimEngine {
     /// which property tests assert; only the bookkeeping cost per op
     /// differs.
     ///
-    /// Slots marked [`ExecSlot::blocked`] are skipped entirely: they
-    /// execute no ops, consume zero cycles, report all-zero deltas, and
-    /// their prefetched op buffers stay parked under their tag for the
-    /// wake-up call. The runnable slots behave bit-identically to a call
-    /// made without the blocked slots present.
+    /// Sockets share no cache state, so the batch is split into socket
+    /// components (see [`SimEngine::run_slots_parallel`]) that run one after
+    /// another on the calling thread, each interleaving only its own slots.
     ///
     /// # Panics
     ///
@@ -609,109 +667,15 @@ impl SimEngine {
         slots: &mut [ExecSlot<'_>],
         cycle_budget: u64,
     ) -> Vec<QuantumReport> {
-        let n = slots.len();
-        let mut reports = vec![QuantumReport::default(); n];
-        if n == 0 || cycle_budget == 0 {
-            return reports;
-        }
-        let trace_start = self.elapsed_cycles;
-        self.resolve_data_nodes(slots);
-        debug_assert!(
-            {
-                let mut tags: Vec<u64> = slots.iter().map(|s| s.tag).collect();
-                tags.sort_unstable();
-                tags.windows(2).all(|w| w[0] != w[1])
-            },
-            "slot tags must be unique within one run_slots call"
-        );
-        self.begin_batched_call();
-        self.refresh_blocked_carries(slots);
-
-        // Blocked slots execute nothing and charge nothing: the active
-        // (runnable) slots run exactly the interleaving they would run in a
-        // call without the blocked slots, and the blocked slots keep their
-        // all-zero default reports. The mapping from active position to
-        // original index is monotone, so the epoch tie-break (local array
-        // index) preserves relative order — bit-identity discipline holds.
-        let active: Vec<usize> = (0..n).filter(|&i| !slots[i].blocked).collect();
-
-        // Pick the op streams up exactly where the previous call left them.
-        let mut queues: Vec<OpQueue> = active
-            .iter()
-            .map(|&i| {
-                self.op_carry
-                    .remove(&slots[i].tag)
-                    .map(|carried| carried.queue)
-                    .unwrap_or_default()
-            })
-            .collect();
-        // Memory-level parallelism and the access route are static per
-        // slot; hoist both out of the per-op loop.
-        let mlps: Vec<f64> = active
-            .iter()
-            .map(|&i| slots[i].workload.mem_parallelism().max(1.0))
-            .collect();
-        let routes: Vec<AccessRoute> = active
-            .iter()
-            .map(|&i| {
-                let slot = &slots[i];
-                self.machine
-                    .route(slot.core, slot.data_node, slot.force_remote)
-                    .expect("slot references an unknown core")
-            })
-            .collect();
-
-        let mut sub_reports = vec![QuantumReport::default(); active.len()];
-        if !active.is_empty() {
-            let mut slot_refs: Vec<&mut ExecSlot<'_>> =
-                slots.iter_mut().filter(|slot| !slot.blocked).collect();
-            run_epoch_interleaving(
-                &mut self.machine,
-                &mut self.shadow,
-                &mut slot_refs,
-                &mut queues,
-                &routes,
-                &mlps,
-                &mut sub_reports,
-                cycle_budget,
-            );
-        }
-
-        // Scatter the active results back to original slot order; blocked
-        // positions keep default reports and default (drained) queues, so
-        // `finish_batched_call` leaves their carried ops untouched.
-        let mut full_queues: Vec<OpQueue> = Vec::with_capacity(n);
-        full_queues.resize_with(n, OpQueue::default);
-        for ((&i, report), queue) in active.iter().zip(&sub_reports).zip(queues) {
-            reports[i] = *report;
-            full_queues[i] = queue;
-        }
-
-        self.finish_batched_call(slots, full_queues, &reports);
-        self.record_batch_trace(trace_start, &reports);
-        reports
-    }
-
-    /// Keeps the carried op buffers of blocked slots alive: they are not
-    /// consumed this call, but the stream is merely sleeping, not abandoned
-    /// — without the refresh a long block would trip the stale-carry sweep
-    /// and silently restart the stream on wake.
-    fn refresh_blocked_carries(&mut self, slots: &[ExecSlot<'_>]) {
-        let run_calls = self.run_calls;
-        for slot in slots.iter().filter(|slot| slot.blocked) {
-            if let Some(carried) = self.op_carry.get_mut(&slot.tag) {
-                carried.last_used = run_calls;
-            }
-        }
+        self.run_batched(slots, cycle_budget, false)
     }
 
     /// Records one batched call into the trace sink: the `engine.run_slots`
     /// span covering `[start, elapsed)` on the simulated clock, plus PMC
     /// counters and the batch-cycles histogram. A single branch when
-    /// tracing is off. Both the serial and socket-parallel paths call this
-    /// exactly once per top-level batched call (the parallel path's serial
-    /// fallbacks record through `run_slots` itself), so traces are
-    /// byte-identical across the two modes.
+    /// tracing is off. The batched body calls this exactly once per call
+    /// with the reports in slot order, so traces are byte-identical across
+    /// the two entry points.
     fn record_batch_trace(&mut self, start: u64, reports: &[QuantumReport]) {
         if !self.trace.is_enabled() {
             return;
@@ -731,34 +695,32 @@ impl SimEngine {
         self.trace.hist_record("engine.batch_cycles", dur);
     }
 
-    /// Folds a call's counter deltas into the slots' cumulative PMCs (done
-    /// once per call instead of once per op), preserves
-    /// fetched-but-unexecuted ops for the next call on each tag, and
-    /// advances the logical clock by the busiest slot's consumed cycles.
-    fn finish_batched_call(
-        &mut self,
-        slots: &mut [ExecSlot<'_>],
-        queues: Vec<OpQueue>,
-        reports: &[QuantumReport],
-    ) {
-        let run_calls = self.run_calls;
-        for ((slot, queue), report) in slots.iter_mut().zip(queues).zip(reports) {
-            slot.pmcs += report.pmc_delta;
-            if !queue.is_drained() {
+    /// The epilogue of a batched call: folds each lane's counter deltas into
+    /// its slot's cumulative PMCs (once per call instead of once per op),
+    /// preserves fetched-but-unexecuted ops for the next call on each tag,
+    /// advances the logical clock by the busiest slot's consumed cycles and
+    /// returns the reports in slot order.
+    fn finish_batched_call(&mut self, lanes: Vec<Lane<'_, '_>>) -> Vec<QuantumReport> {
+        let mut reports = vec![QuantumReport::default(); lanes.len()];
+        for lane in lanes {
+            lane.slot.pmcs += lane.report.pmc_delta;
+            if !lane.queue.is_drained() {
                 self.op_carry.insert(
-                    slot.tag,
+                    lane.slot.tag,
                     CarriedOps {
-                        queue,
-                        last_used: run_calls,
+                        queue: lane.queue,
+                        last_used: self.run_calls,
                     },
                 );
             }
+            reports[lane.index] = lane.report;
         }
         self.elapsed_cycles += reports
             .iter()
             .map(|report| report.consumed_cycles)
             .max()
             .unwrap_or(0);
+        reports
     }
 
     /// The semantic reference for [`SimEngine::run_slots`]: advance the
@@ -825,37 +787,30 @@ impl SimEngine {
     }
 
     /// Runs every slot for `cycle_budget` cycles like
-    /// [`SimEngine::run_slots`], executing each socket's slots on its own
-    /// scoped thread.
+    /// [`SimEngine::run_slots`], executing the batch's socket components on
+    /// scoped threads.
     ///
-    /// Sockets share no cache state, so the machine is split into
-    /// independently mutable per-socket views ([`Machine::sockets_mut`]) and
-    /// the batch is partitioned by the socket of each slot's core; every
-    /// group runs the same epoch interleaving as the serial path against its
-    /// own view. Within a socket the produced op order — and therefore every
-    /// cache state, counter, pollution attribution and shadow observation —
-    /// is bit-identical to [`SimEngine::run_slots`] and
+    /// Both entry points share one body. It splits the batch into
+    /// execution components, normally one per populated socket, and runs the
+    /// same epoch interleaving per component; here each threaded component
+    /// gets a split-borrowed view of its socket ([`Machine::sockets_mut`]).
+    /// Within a socket the
+    /// produced op order — and therefore every cache state, counter,
+    /// pollution attribution and shadow observation — is bit-identical to
     /// [`SimEngine::run_slots_reference`] over the same slots; only the
     /// cross-socket interleaving in wall-clock time differs, which no
-    /// simulation output observes. Shadow-attribution state is partitioned
-    /// by owner along the same socket boundaries and merged back after the
-    /// threads join.
+    /// simulation output observes. Here two or more components each get a
+    /// thread, with the shadow-attribution state of their owners partitioned
+    /// out and merged back in component order after the threads join.
     ///
-    /// Falls back to the serial path when fewer than two sockets have slots
-    /// (nothing to parallelise). When shadow attribution is enabled and an
-    /// owner has slots on several sockets *in the current batch* (its single
-    /// shadow cache cannot be driven from two threads deterministically),
-    /// only the sockets coupled by such owners are merged onto one thread —
-    /// every other populated socket keeps its own thread. Only when the
-    /// coupling collapses every populated socket into a single component
-    /// does the whole call run serially. Owners that spanned sockets in
-    /// *earlier* calls, or that merely have shadow state but no slot in this
-    /// batch, never affect the decision.
-    ///
-    /// [`ExecSlot::blocked`] slots are skipped exactly as in the serial
-    /// path — they populate no socket group, couple no sockets, execute
-    /// nothing and keep their carried ops parked — so the two paths stay
-    /// bit-identical under blocking too.
+    /// When shadow attribution is enabled and an owner has slots on several
+    /// sockets *in the current batch* (its single shadow cache needs one
+    /// interleaving), only the sockets coupled by such owners are merged
+    /// into one component — every other populated socket keeps its own.
+    /// A batch that forms a single component (fewer than two populated
+    /// sockets, or every populated socket coupled) runs inline. Owners that
+    /// spanned sockets in *earlier* calls, or that merely have shadow state
+    /// but no slot in this batch, never affect the decision.
     ///
     /// # Panics
     ///
@@ -866,261 +821,183 @@ impl SimEngine {
         slots: &mut [ExecSlot<'_>],
         cycle_budget: u64,
     ) -> Vec<QuantumReport> {
-        let n = slots.len();
+        self.run_batched(slots, cycle_budget, true)
+    }
+
+    /// The body of [`SimEngine::run_slots`] and
+    /// [`SimEngine::run_slots_parallel`]. In order: checks every slot's core
+    /// and resolves its route, takes the carried op queues, partitions the
+    /// batch into socket components ([`SimEngine::partition`]), runs
+    /// [`run_epoch_interleaving`] per component and ends in one epilogue
+    /// ([`SimEngine::finish_batched_call`]). With `threads` set, two or more
+    /// components run on scoped threads, each against its socket view or
+    /// group with partitioned shadow state; otherwise they run inline, one
+    /// after another, against the whole machine and the full shadow (their
+    /// owners are disjoint whenever shadow attribution is on).
+    fn run_batched(
+        &mut self,
+        slots: &mut [ExecSlot<'_>],
+        cycle_budget: u64,
+        threads: bool,
+    ) -> Vec<QuantumReport> {
         self.last_parallel_groups = 0;
-        if n == 0 || cycle_budget == 0 {
-            return vec![QuantumReport::default(); n];
+        if slots.is_empty() || cycle_budget == 0 {
+            return vec![QuantumReport::default(); slots.len()];
         }
         let trace_start = self.elapsed_cycles;
-        // Decide the serial fallback before resolving any routes: on a
-        // single-socket machine (the default `figures` machine) every tick
-        // takes this exit, so it must stay allocation-free beyond the
-        // grouping itself.
-        let num_sockets = self.machine.num_sockets();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_sockets];
-        let mut slot_sockets: Vec<usize> = Vec::with_capacity(n);
-        for (i, slot) in slots.iter().enumerate() {
-            let socket = self
-                .machine
-                .socket_of(slot.core)
-                .expect("slot references an unknown core")
-                .0;
-            // Blocked slots execute nothing: they neither populate a socket
-            // group nor couple sockets via shadow owners. The serial path
-            // applies the same filter, so the per-socket active order — and
-            // with it bit-identity — is preserved.
-            if !slot.blocked {
-                groups[socket].push(i);
-            }
-            slot_sockets.push(socket);
-        }
-        let populated = groups.iter().filter(|group| !group.is_empty()).count();
-        if populated < 2 {
-            return self.run_slots(slots, cycle_budget);
-        }
-        // Execution components: normally one per populated socket. With
-        // shadow attribution on, sockets sharing an owner in this batch must
-        // run on the same thread (one shadow cache per owner), so they are
-        // unioned into one component. Only owners with slots in the current
-        // batch participate — stale shadow state or placements from earlier
-        // calls cannot force a merge.
-        let mut component: Vec<usize> = (0..num_sockets).collect();
-        fn find(component: &mut [usize], mut socket: usize) -> usize {
-            while component[socket] != socket {
-                component[socket] = component[component[socket]];
-                socket = component[socket];
-            }
-            socket
-        }
-        if self.shadow.is_some() {
-            let mut owner_socket: HashMap<OwnerId, usize> = HashMap::with_capacity(n);
-            for (slot, &socket) in slots.iter().zip(&slot_sockets) {
-                if slot.blocked {
-                    continue;
-                }
-                if let Some(&previous) = owner_socket.get(&slot.owner) {
-                    let a = find(&mut component, previous);
-                    let b = find(&mut component, socket);
-                    // Union by smaller root so component labels stay
-                    // deterministic.
-                    component[a.max(b)] = a.min(b);
-                } else {
-                    owner_socket.insert(slot.owner, socket);
-                }
-            }
-        }
-        // Enumerate components of populated sockets in ascending order of
-        // their smallest member socket (the spawn/merge order).
-        let mut component_of_root: Vec<Option<usize>> = vec![None; num_sockets];
-        let mut component_sockets: Vec<Vec<usize>> = Vec::new();
-        for (socket, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let root = find(&mut component, socket);
-            match component_of_root[root] {
-                Some(c) => component_sockets[c].push(socket),
-                None => {
-                    component_of_root[root] = Some(component_sockets.len());
-                    component_sockets.push(vec![socket]);
-                }
-            }
-        }
-        if component_sockets.len() < 2 {
-            // Every populated socket is coupled to every other: nothing left
-            // to parallelise.
-            return self.run_slots(slots, cycle_budget);
-        }
-
         self.resolve_data_nodes(slots);
-        let routes: Vec<AccessRoute> = slots
-            .iter()
-            .map(|slot| {
-                self.machine
-                    .route(slot.core, slot.data_node, slot.force_remote)
-                    .expect("slot references an unknown core")
-            })
-            .collect();
-
         debug_assert!(
             {
                 let mut tags: Vec<u64> = slots.iter().map(|s| s.tag).collect();
                 tags.sort_unstable();
                 tags.windows(2).all(|w| w[0] != w[1])
             },
-            "slot tags must be unique within one run_slots_parallel call"
+            "slot tags must be unique within one batched call"
         );
         self.begin_batched_call();
-        self.refresh_blocked_carries(slots);
 
-        let mut queues: Vec<Option<OpQueue>> = slots
-            .iter()
-            .map(|slot| {
-                if slot.blocked {
-                    // The stream stays parked in the carry map.
-                    None
-                } else {
-                    self.op_carry.remove(&slot.tag).map(|carried| carried.queue)
-                }
-            })
-            .collect();
-        let mlps: Vec<f64> = slots
-            .iter()
-            .map(|slot| slot.workload.mem_parallelism().max(1.0))
-            .collect();
-        // One work item per component, in component order: the component's
-        // slots (with their original indices, ascending — the relative order
-        // the epoch tie-break depends on) plus its parallel arrays.
-        struct GroupWork<'engine, 'wl> {
-            sockets: Vec<usize>,
-            indices: Vec<usize>,
-            slots: Vec<&'engine mut ExecSlot<'wl>>,
-            queues: Vec<OpQueue>,
-            routes: Vec<AccessRoute>,
-            mlps: Vec<f64>,
-            shadow: Option<ShadowAttribution>,
+        // Pick the op streams up exactly where the previous call left them.
+        let mut lanes: Vec<Lane<'_, '_>> = Vec::with_capacity(slots.len());
+        for (index, slot) in slots.iter_mut().enumerate() {
+            lanes.push(Lane {
+                route: self
+                    .machine
+                    .route(slot.core, slot.data_node, slot.force_remote)
+                    .expect("slot references an unknown core"),
+                mlp: slot.workload.mem_parallelism().max(1.0),
+                queue: self
+                    .op_carry
+                    .remove(&slot.tag)
+                    .map(|carried| carried.queue)
+                    .unwrap_or_default(),
+                report: QuantumReport::default(),
+                index,
+                slot,
+            });
         }
-        let mut work: Vec<GroupWork<'_, '_>> = component_sockets
-            .into_iter()
-            .map(|sockets| {
-                let mut indices: Vec<usize> = sockets
-                    .iter()
-                    .flat_map(|&s| groups[s].iter().copied())
-                    .collect();
-                indices.sort_unstable();
-                let shadow = self.shadow.as_mut().map(|shadow| {
-                    let owners: Vec<OwnerId> = indices.iter().map(|&i| slots[i].owner).collect();
-                    shadow.take_partition(&owners)
-                });
-                GroupWork {
-                    sockets,
-                    slots: Vec::with_capacity(indices.len()),
-                    queues: indices
-                        .iter()
-                        .map(|&i| queues[i].take().unwrap_or_default())
-                        .collect(),
-                    routes: indices.iter().map(|&i| routes[i]).collect(),
-                    mlps: indices.iter().map(|&i| mlps[i]).collect(),
-                    shadow,
-                    indices,
-                }
-            })
-            .collect();
-        // Distribute the exclusive slot borrows into their components (in
-        // original index order, matching each component's sorted `indices`).
-        let mut work_of_socket: Vec<Option<usize>> = vec![None; num_sockets];
-        for (w, group) in work.iter().enumerate() {
-            for &socket in &group.sockets {
-                work_of_socket[socket] = Some(w);
-            }
+        let components = self.partition(&mut lanes);
+        let threaded = threads && components.len() >= 2;
+        if threaded {
+            self.last_parallel_groups = components.len();
         }
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.blocked {
-                continue;
-            }
-            let w = work_of_socket[routes[i].socket_index()].expect("populated socket");
-            work[w].slots.push(slot);
-        }
-        self.last_parallel_groups = work.len();
 
-        // Execute every component on its own scoped thread, against the
-        // split-borrowed views of its member sockets. Single-socket
-        // components (the common case) drive their `SocketView` directly;
-        // merged components route each access to the right member view.
-        let mut views: Vec<Option<SocketView<'_>>> = self.machine.sockets_mut().map(Some).collect();
-        let finished: Vec<(GroupWork<'_, '_>, Vec<QuantumReport>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(work.len());
-            for mut group in work {
-                if group.sockets.len() == 1 {
-                    let mut view = views[group.sockets[0]].take().expect("one view per socket");
-                    handles.push(scope.spawn(move || {
-                        let mut reports = vec![QuantumReport::default(); group.slots.len()];
-                        run_epoch_interleaving(
-                            &mut view,
-                            &mut group.shadow,
-                            &mut group.slots,
-                            &mut group.queues,
-                            &group.routes,
-                            &group.mlps,
-                            &mut reports,
-                            cycle_budget,
-                        );
-                        (group, reports)
-                    }));
-                } else {
-                    let mut view_of_socket = vec![usize::MAX; num_sockets];
-                    let mut member_views = Vec::with_capacity(group.sockets.len());
-                    for &socket in &group.sockets {
-                        view_of_socket[socket] = member_views.len();
-                        member_views.push(views[socket].take().expect("one view per socket"));
+        {
+            let SimEngine {
+                machine, shadow, ..
+            } = self;
+            let mut rest = lanes.as_mut_slice();
+            let work = components.iter().map(|component| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(component.lanes);
+                rest = tail;
+                (component, chunk)
+            });
+            if threaded {
+                let mut views: Vec<Option<SocketView<'_>>> =
+                    machine.sockets_mut().map(Some).collect();
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = work
+                        .map(|(component, chunk)| {
+                            let mut target = ComponentTarget::take(&mut views, &component.sockets);
+                            let mut part = shadow.as_mut().map(|shadow| {
+                                let owners: Vec<OwnerId> =
+                                    chunk.iter().map(|lane| lane.slot.owner).collect();
+                                shadow.take_partition(&owners)
+                            });
+                            scope.spawn(move || {
+                                target.run(&mut part, chunk, cycle_budget);
+                                part
+                            })
+                        })
+                        .collect();
+                    // Reabsorb the shadow partitions in component order.
+                    for worker in workers {
+                        let part = worker.join().expect("socket worker panicked");
+                        if let (Some(shadow), Some(part)) = (shadow.as_mut(), part) {
+                            shadow.merge(part);
+                        }
                     }
-                    let mut view = SocketGroup {
-                        views: member_views,
-                        view_of_socket,
-                    };
-                    handles.push(scope.spawn(move || {
-                        let mut reports = vec![QuantumReport::default(); group.slots.len()];
-                        run_epoch_interleaving(
-                            &mut view,
-                            &mut group.shadow,
-                            &mut group.slots,
-                            &mut group.queues,
-                            &group.routes,
-                            &group.mlps,
-                            &mut reports,
-                            cycle_budget,
-                        );
-                        (group, reports)
-                    }));
+                });
+            } else {
+                // One thread drives every component: the whole machine
+                // serves them all, with no split-borrowed views.
+                for (_, chunk) in work {
+                    run_epoch_interleaving(machine, shadow, chunk, cycle_budget);
                 }
             }
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("socket worker panicked"))
-                .collect()
-        });
-        drop(views);
-
-        // Deterministic merge: scatter reports back to original slot order
-        // and reabsorb shadow partitions in component order (`finished`
-        // preserves spawn order, which is component order).
-        let mut reports = vec![QuantumReport::default(); n];
-        let mut merged_queues: Vec<OpQueue> = Vec::with_capacity(n);
-        merged_queues.resize_with(n, OpQueue::default);
-        for (group, group_reports) in finished {
-            for ((&orig, report), queue) in
-                group.indices.iter().zip(group_reports).zip(group.queues)
-            {
-                reports[orig] = report;
-                merged_queues[orig] = queue;
-            }
-            if let (Some(shadow), Some(part)) = (self.shadow.as_mut(), group.shadow) {
-                shadow.merge(part);
-            }
         }
-        self.finish_batched_call(slots, merged_queues, &reports);
+
+        let reports = self.finish_batched_call(lanes);
         self.record_batch_trace(trace_start, &reports);
         reports
+    }
+
+    /// Partitions a batch into execution components and orders `lanes` so
+    /// each component's lanes are contiguous, ascending in slot order.
+    ///
+    /// A component is normally one populated socket. With shadow attribution
+    /// on and two or more populated sockets, sockets sharing an owner in
+    /// this batch are unioned into one component (one shadow cache per
+    /// owner needs one interleaving); only owners with slots in the current
+    /// batch participate. Components come in ascending order of their
+    /// smallest socket. A single-socket batch takes no union-find and no
+    /// reordering.
+    fn partition(&self, lanes: &mut [Lane<'_, '_>]) -> Vec<Component> {
+        let socket_of = |lane: &Lane<'_, '_>| lane.route.socket_index();
+        let first = socket_of(&lanes[0]);
+        if lanes.iter().all(|lane| socket_of(lane) == first) {
+            return vec![Component {
+                sockets: vec![first],
+                lanes: lanes.len(),
+            }];
+        }
+        let num_sockets = self.machine.num_sockets();
+        let mut lanes_on = vec![0usize; num_sockets];
+        for lane in lanes.iter() {
+            lanes_on[socket_of(lane)] += 1;
+        }
+        // Union-find over sockets, by smaller root: a set's root is its
+        // smallest socket.
+        let mut parent: Vec<usize> = (0..num_sockets).collect();
+        fn find(parent: &mut [usize], mut socket: usize) -> usize {
+            while parent[socket] != socket {
+                parent[socket] = parent[parent[socket]];
+                socket = parent[socket];
+            }
+            socket
+        }
+        if self.shadow.is_some() {
+            let mut owner_socket: HashMap<OwnerId, usize> = HashMap::with_capacity(lanes.len());
+            for lane in lanes.iter() {
+                let socket = socket_of(lane);
+                if let Some(&previous) = owner_socket.get(&lane.slot.owner) {
+                    let a = find(&mut parent, previous);
+                    let b = find(&mut parent, socket);
+                    parent[a.max(b)] = a.min(b);
+                } else {
+                    owner_socket.insert(lane.slot.owner, socket);
+                }
+            }
+        }
+        let mut component_of = vec![usize::MAX; num_sockets];
+        let mut components: Vec<Component> = Vec::new();
+        for socket in (0..num_sockets).filter(|&socket| lanes_on[socket] > 0) {
+            let root = find(&mut parent, socket);
+            if root == socket {
+                component_of[socket] = components.len();
+                components.push(Component {
+                    sockets: Vec::new(),
+                    lanes: 0,
+                });
+            } else {
+                component_of[socket] = component_of[root];
+            }
+            let component = &mut components[component_of[socket]];
+            component.sockets.push(socket);
+            component.lanes += lanes_on[socket];
+        }
+        // A stable sort keeps ascending slot order inside each component.
+        lanes.sort_by_key(|lane| component_of[socket_of(lane)]);
+        components
     }
 
     /// Resolves lazy data-node placement and validates slot cores.
@@ -1523,8 +1400,8 @@ mod tests {
 
     #[test]
     fn parallel_path_falls_back_on_a_single_socket() {
-        // All slots on socket 0: the parallel path must delegate to the
-        // serial path and still be correct.
+        // All slots on socket 0: one component, which the parallel entry
+        // point runs inline, still correctly.
         let mut e = engine();
         let mut a = ComputeOnly::new(1);
         let mut b = ComputeOnly::new(2);
@@ -1534,6 +1411,7 @@ mod tests {
         ];
         let reports = e.run_slots_parallel(&mut slots, 5_000);
         assert!(reports.iter().all(|r| r.consumed_cycles >= 5_000));
+        assert_eq!(e.parallel_groups_last_call(), 0);
     }
 
     #[test]
@@ -1544,14 +1422,15 @@ mod tests {
         let ops: Vec<Op> = (0..256u64).map(|i| Op::Load { addr: i * 64 }).collect();
         let mut a = FixedSequence::new("a", ops.clone());
         let mut b = FixedSequence::new("b", ops);
-        // Owner 1 has slots on both sockets: one shadow cache, two threads —
-        // the engine must take the serial path instead.
+        // Owner 1 has slots on both sockets: its one shadow cache couples
+        // them into one component, which runs inline on a socket group.
         let mut slots = vec![
             ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
             ExecSlot::new(CoreId(4), 1, &mut b).with_tag(11),
         ];
         let reports = e.run_slots_parallel(&mut slots, 5_000);
         assert!(reports.iter().all(|r| r.consumed_cycles >= 5_000));
+        assert_eq!(e.parallel_groups_last_call(), 0);
         assert!(e.shadow().unwrap().solo_misses(1) > 0);
     }
 
@@ -1559,8 +1438,8 @@ mod tests {
     fn spanning_owner_with_shadow_merges_only_its_sockets() {
         // 4-socket machine, shadow on. Owner 1 spans sockets 0 and 1: those
         // two sockets must share a thread (one shadow cache), but sockets 2
-        // and 3 keep their own threads — the batch must NOT collapse to the
-        // serial path. Results stay bit-identical to the serial engine.
+        // and 3 keep their own threads — the batch must NOT collapse into
+        // one component. Results stay bit-identical to `run_slots`.
         let config = MachineConfig::scaled_cloud_machine(4, 64);
         let cps = config.cores_per_socket;
         let ops = |seed: u64| lcg_ops(seed, 2048);
@@ -1595,8 +1474,9 @@ mod tests {
                 .collect();
             (reports, shadow, llc, e.elapsed_cycles(), groups)
         };
-        let (s_reports, s_shadow, s_llc, s_elapsed, _) = run(false);
+        let (s_reports, s_shadow, s_llc, s_elapsed, s_groups) = run(false);
         let (p_reports, p_shadow, p_llc, p_elapsed, p_groups) = run(true);
+        assert_eq!(s_groups, 0, "run_slots runs its components inline");
         assert_eq!(
             p_groups, 3,
             "sockets {{0,1}} merge, sockets 2 and 3 stay independent"
@@ -1610,7 +1490,7 @@ mod tests {
     #[test]
     fn owner_span_check_only_sees_the_current_batch() {
         // Call 1: owner 1 spans both sockets with shadow on -> one component,
-        // serial fallback. Call 2: every owner (including owner 1, which
+        // run inline. Call 2: every owner (including owner 1, which
         // still has shadow state from call 1) is confined to one socket ->
         // the batch must parallelise; history must not force a fallback.
         let config = MachineConfig::scaled_paper_numa_machine(64);
@@ -1627,7 +1507,7 @@ mod tests {
         assert_eq!(
             e.parallel_groups_last_call(),
             0,
-            "a spanning owner couples both sockets: serial fallback"
+            "a spanning owner couples both sockets: one component, run inline"
         );
         drop(slots);
         let mut c = FixedSequence::new("c", ops);
@@ -1684,146 +1564,9 @@ mod tests {
         let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(42);
         e.run_slots(std::slice::from_mut(&mut slot), 1_000);
         e.clear_op_buffer(42);
-        e.clear_op_buffers();
+        assert_eq!(e.carried_op_buffers(), 0);
         // After clearing, running again must still work (fresh fetch).
         let reports = e.run_slots(std::slice::from_mut(&mut slot), 1_000);
         assert!(reports[0].consumed_cycles >= 1_000);
-    }
-
-    #[test]
-    fn blocked_slots_report_nothing_and_charge_nothing() {
-        // A blocked slot must produce an all-zero report, leave its own
-        // PMCs untouched, and leave the runnable slots' results exactly as
-        // a call without it would.
-        let ops = lcg_ops(3, 2048);
-        let run = |with_blocked: bool| {
-            let mut e = engine();
-            let mut runnable = FixedSequence::new("runnable", ops.clone());
-            let mut sleeper = FixedSequence::new("sleeper", ops.clone());
-            let mut slots = vec![ExecSlot::new(CoreId(0), 1, &mut runnable).with_tag(1)];
-            if with_blocked {
-                slots.push(
-                    ExecSlot::new(CoreId(1), 2, &mut sleeper)
-                        .with_tag(2)
-                        .with_blocked(true),
-                );
-            }
-            let reports = e.run_slots(&mut slots, 10_000);
-            if with_blocked {
-                assert_eq!(reports[1], QuantumReport::default());
-                assert_eq!(slots[1].pmcs, PmcSet::default());
-            }
-            (reports[0], slots[0].pmcs, e.elapsed_cycles())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn an_all_blocked_call_is_free_and_preserves_carries() {
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut e = engine();
-        let mut wl = FixedSequence::new("seq", ops);
-        let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(9);
-        e.run_slots(std::slice::from_mut(&mut slot), 3_000);
-        let elapsed = e.elapsed_cycles();
-        let carried = e.carried_op_buffers();
-        let mut blocked = ExecSlot::new(CoreId(0), 1, &mut wl)
-            .with_tag(9)
-            .with_blocked(true);
-        let reports = e.run_slots(std::slice::from_mut(&mut blocked), 3_000);
-        assert_eq!(reports[0], QuantumReport::default());
-        assert_eq!(e.elapsed_cycles(), elapsed, "blocked calls charge no cycles");
-        assert_eq!(e.carried_op_buffers(), carried);
-    }
-
-    #[test]
-    fn a_long_block_does_not_lose_the_prefetched_op_stream() {
-        // The stale-carry sweep reclaims tags unseen for CARRY_STALE_AFTER
-        // calls; a blocked slot *is* seen, so its prefetched ops must
-        // survive arbitrarily long sleeps and the stream must continue
-        // seamlessly on wake — same distinct-line continuity check as
-        // `op_buffers_carry_across_calls_per_tag`.
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let run = |sleep_calls: u64| -> u64 {
-            let mut e = engine();
-            let mut wl = FixedSequence::new("seq", ops.clone());
-            let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(7);
-            e.run_slots(std::slice::from_mut(&mut slot), 3_000);
-            for _ in 0..sleep_calls {
-                let mut blocked = ExecSlot::new(CoreId(0), 1, &mut wl)
-                    .with_tag(7)
-                    .with_blocked(true);
-                e.run_slots(std::slice::from_mut(&mut blocked), 3_000);
-            }
-            assert_eq!(e.carried_op_buffers(), 1, "the sleeping stream survives");
-            let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(7);
-            e.run_slots(std::slice::from_mut(&mut slot), 3_000);
-            e.machine()
-                .socket(crate::topology::SocketId(0))
-                .unwrap()
-                .llc()
-                .stats()
-                .accesses
-        };
-        // Sleep well past CARRY_STALE_AFTER (1024) + the prune interval.
-        let slept = run(1300);
-        let awake = run(0);
-        assert!(
-            slept.abs_diff(awake) <= 4,
-            "slept={slept}, awake={awake}"
-        );
-    }
-
-    #[test]
-    fn parallel_path_matches_serial_with_blocked_slots() {
-        // The four-slot two-socket scenario with a rotating blocked slot:
-        // both paths must agree bit-for-bit, including rounds where a whole
-        // socket is asleep (serial fallback) and rounds where both sockets
-        // stay populated.
-        let config = MachineConfig::scaled_paper_numa_machine(64);
-        let run = |parallel: bool| {
-            let mut e = SimEngine::new(Machine::new(config.clone()));
-            let mut workloads: Vec<FixedSequence> = (0..4)
-                .map(|w| {
-                    FixedSequence::new(format!("wl{w}"), lcg_ops(w as u64 + 1, 2048))
-                        .with_mem_parallelism(1.0 + w as f64)
-                })
-                .collect();
-            let mut all_reports = Vec::new();
-            for round in 0..6usize {
-                let mut slots: Vec<ExecSlot<'_>> = workloads
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, wl)| {
-                        let core = CoreId(if w < 2 { w } else { w + 2 });
-                        // Rounds 0-3 block one slot each; round 4 blocks all
-                        // of socket 1; round 5 runs everyone.
-                        let blocked = match round {
-                            0..=3 => w == round,
-                            4 => w >= 2,
-                            _ => false,
-                        };
-                        ExecSlot::new(core, w as OwnerId + 1, wl)
-                            .with_tag(w as u64 + 1)
-                            .with_blocked(blocked)
-                    })
-                    .collect();
-                let reports = if parallel {
-                    e.run_slots_parallel(&mut slots, 8_000)
-                } else {
-                    e.run_slots(&mut slots, 8_000)
-                };
-                for (slot, report) in slots.iter().zip(&reports) {
-                    if slot.blocked {
-                        assert_eq!(*report, QuantumReport::default());
-                    }
-                }
-                all_reports.push(reports);
-            }
-            let llc0 = e.machine().llc_stats(crate::topology::SocketId(0)).unwrap();
-            let llc1 = e.machine().llc_stats(crate::topology::SocketId(1)).unwrap();
-            (all_reports, llc0, llc1, e.elapsed_cycles())
-        };
-        assert_eq!(run(false), run(true));
     }
 }

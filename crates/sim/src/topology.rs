@@ -261,9 +261,8 @@ pub struct AccessRoute {
 }
 
 impl AccessRoute {
-    /// Index of the socket this route resolves to. The engine's
-    /// socket-parallel path uses it to assign each slot to the execution
-    /// group that owns the slot's socket.
+    /// Index of the socket this route resolves to. The engine's batched
+    /// body uses it to partition a batch into socket components.
     pub fn socket_index(&self) -> usize {
         self.socket
     }
@@ -576,8 +575,8 @@ impl SocketView<'_> {
 
     /// Performs a memory access along a pre-resolved route, exactly like
     /// [`Machine::access_routed`] restricted to this socket (both delegate
-    /// to the same private `Socket::walk_routed` body, so the serial and parallel
-    /// engine paths cannot drift apart).
+    /// to the same private `Socket::walk_routed` body, so the engine's
+    /// inline and threaded execution cannot drift apart).
     ///
     /// Routes resolved for another socket are a programming error (checked
     /// by a debug assertion).

@@ -1,22 +1,24 @@
-//! Equivalence of the batched/epoch and socket-parallel engine paths with
-//! the per-op reference.
+//! Equivalence of the engine's two batched entry points with the per-op
+//! reference.
 //!
-//! `SimEngine::run_slots` batches op fetching and interleaves slots in
-//! epochs; `SimEngine::run_slots_parallel` additionally executes each
-//! socket's slots on its own thread; `SimEngine::run_slots_reference`
+//! `SimEngine::run_slots` and `SimEngine::run_slots_parallel` share one
+//! batched body: op fetching in chunks, the batch split into socket
+//! components, epoch interleaving per component. `run_slots` runs the
+//! components one after another on the calling thread, `run_slots_parallel`
+//! puts two or more of them on scoped threads. `SimEngine::run_slots_reference`
 //! advances one op at a time with a linear furthest-behind scan. All three
 //! must be *bit-identical*: same `QuantumReport`s, same cumulative slot
 //! PMCs, same per-socket LLC `CacheStats` and per-owner occupancy/miss
 //! attribution, same shadow (solo) misses, same logical clock — across
 //! replacement policies, budgets, slot counts, machines of 1/2/4/8 sockets
-//! (placements spreading slots across every socket), and the paper's
-//! execution modes (parallel co-scheduling and
-//! alternative time-sharing over successive calls, which exercises the
-//! carried op buffers). The properties draw from two op streams, with and
-//! without blocked slots: mostly memory ops, and long compute runs between
-//! memory bursts. The second covers the batched paths' one-pass retirement
-//! of compute runs: runs that cross the 64-op fetch chunk and runs that
-//! end at the budget.
+//! (placements spreading slots across every socket, and one in which an
+//! owner has slots on two sockets, so shadow attribution couples them into
+//! one component), and the paper's execution modes (parallel co-scheduling
+//! and alternative time-sharing over successive calls, which exercises the
+//! carried op buffers). The properties draw from two op streams: mostly
+//! memory ops, and long compute runs between memory bursts. The second
+//! covers the batched body's one-pass retirement of compute runs: runs that
+//! cross the 64-op fetch chunk and runs that end at the budget.
 
 use kyoto_sim::cache::OwnerId;
 use kyoto_sim::engine::{ExecSlot, SimEngine};
@@ -164,10 +166,10 @@ struct SlotSpec {
 enum EnginePath {
     /// `run_slots_reference`: one op at a time, no batching.
     Reference,
-    /// `run_slots`: batched op fetching, epoch interleaving, one thread.
+    /// `run_slots`: the batched body, components run inline.
     Batched,
-    /// `run_slots_parallel`: epoch interleaving per socket, one thread per
-    /// populated socket.
+    /// `run_slots_parallel`: the batched body, one thread per component
+    /// when there are two or more.
     Parallel,
 }
 
@@ -197,20 +199,9 @@ struct Scenario {
     shadow: bool,
     sockets: usize,
     stream: Stream,
-    /// Seed of which slots each call passes blocked; `None` blocks none.
-    blocking: Option<u64>,
-}
-
-impl Scenario {
-    /// Whether the slot at `position` of call `call` is blocked: about one
-    /// slot in three when blocking is on.
-    fn blocked(&self, call: usize, position: usize) -> bool {
-        self.blocking.is_some_and(|seed| {
-            let mut state = seed ^ ((call as u64) << 16 | position as u64);
-            lcg_draw(&mut state);
-            lcg_draw(&mut state).is_multiple_of(3)
-        })
-    }
+    /// Workload 1 runs under workload 0's owner. In `Mode::Parallel` on a
+    /// multi-socket machine that owner has slots on sockets 0 and 1.
+    shared_owner: bool,
 }
 
 /// Everything observable about a run: per-call reports plus final machine,
@@ -226,57 +217,42 @@ struct Observed {
     elapsed_cycles: u64,
 }
 
-fn participants(
-    mode: Mode,
-    call: usize,
-    workload_count: usize,
-    sockets: usize,
-) -> Vec<(usize, SlotSpec)> {
+fn participants(scenario: &Scenario, call: usize) -> Vec<(usize, SlotSpec)> {
+    let Scenario {
+        mode,
+        workload_count,
+        sockets,
+        shared_owner,
+        ..
+    } = *scenario;
     // On multi-socket machines (4 cores per socket), spread the parallel
     // placements across every socket round-robin: workload `w` runs on
     // socket `w % sockets`. Every workload keeps a fixed core and owner, so
-    // no owner ever spans sockets.
+    // an owner spans sockets only when `shared_owner` gives workloads 0 and
+    // 1 (sockets 0 and 1) the same one.
     let core_of = |w: usize| (w % sockets) * 4 + w / sockets;
+    let spec = |w: usize, core: usize| SlotSpec {
+        core,
+        owner: if shared_owner && w == 1 {
+            1
+        } else {
+            w as OwnerId + 1
+        },
+    };
     match mode {
         Mode::Parallel => (0..workload_count)
-            .map(|w| {
-                (
-                    w,
-                    SlotSpec {
-                        core: core_of(w),
-                        owner: w as OwnerId + 1,
-                    },
-                )
-            })
+            .map(|w| (w, spec(w, core_of(w))))
             .collect(),
         Mode::Alternative => {
             let w = call % workload_count;
-            vec![(
-                w,
-                SlotSpec {
-                    core: 0,
-                    owner: w as OwnerId + 1,
-                },
-            )]
+            vec![(w, spec(w, 0))]
         }
         Mode::Combined => {
             let w = call % (workload_count - 1).max(1);
             let steady = workload_count - 1;
             vec![
-                (
-                    w,
-                    SlotSpec {
-                        core: 0,
-                        owner: w as OwnerId + 1,
-                    },
-                ),
-                (
-                    steady,
-                    SlotSpec {
-                        core: if sockets > 1 { 4 } else { 1 },
-                        owner: steady as OwnerId + 1,
-                    },
-                ),
+                (w, spec(w, 0)),
+                (steady, spec(steady, if sockets > 1 { 4 } else { 1 })),
             ]
         }
     }
@@ -285,7 +261,6 @@ fn participants(
 fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     let Scenario {
         policy,
-        mode,
         seed,
         workload_count,
         shadow,
@@ -320,45 +295,31 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     let mut reports = Vec::with_capacity(scenario.budgets.len());
 
     for (call, &budget) in scenario.budgets.iter().enumerate() {
-        let selected = participants(mode, call, workload_count, sockets);
+        let selected = participants(scenario, call);
         let mut remaining: Vec<&mut Box<dyn Workload>> = workloads.iter_mut().collect();
         // Pull the selected workloads out in index order so each call can
-        // borrow several of them mutably at once.
+        // borrow several of them mutably at once. Each stream is tagged by
+        // its workload, so two workloads sharing an owner keep their own
+        // carried op buffers.
         let mut slots: Vec<ExecSlot<'_>> = Vec::new();
         let mut slot_workload_indices = Vec::new();
-        let mut slot_positions = Vec::new();
-        for (position, &(w, spec)) in selected.iter().enumerate().rev() {
+        for &(w, spec) in selected.iter().rev() {
             let workload = remaining.remove(w);
-            let blocked = scenario.blocked(call, position);
-            // The reference has no notion of blocking; the batched paths
-            // promise to run a call as if its blocked slots were absent.
-            if blocked && path == EnginePath::Reference {
-                continue;
-            }
             slots.push(
-                ExecSlot::new(CoreId(spec.core), spec.owner, workload.as_mut())
-                    .with_blocked(blocked),
+                ExecSlot::new(CoreId(spec.core), spec.owner, workload.as_mut()).with_tag(w as u64),
             );
             slot_workload_indices.push(w);
-            slot_positions.push(position);
         }
         slots.reverse();
         slot_workload_indices.reverse();
-        slot_positions.reverse();
-        let slot_reports = match path {
+        reports.push(match path {
             EnginePath::Batched => engine.run_slots(&mut slots, budget),
             EnginePath::Reference => engine.run_slots_reference(&mut slots, budget),
             EnginePath::Parallel => engine.run_slots_parallel(&mut slots, budget),
-        };
-        // Blocked slots report all zeros on every path.
-        let mut call_reports = vec![QuantumReport::default(); selected.len()];
-        for (&position, report) in slot_positions.iter().zip(slot_reports) {
-            call_reports[position] = report;
-        }
+        });
         for (slot, &w) in slots.iter().zip(&slot_workload_indices) {
             pmcs[w] += slot.pmcs;
         }
-        reports.push(call_reports);
     }
 
     let mut llc_stats = Vec::with_capacity(num_sockets);
@@ -396,7 +357,7 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     }
 }
 
-/// A scenario of the mixed stream with no slot blocked.
+/// A scenario of the mixed stream in which every owner has one workload.
 fn mixed(
     policy: ReplacementPolicy,
     mode: Mode,
@@ -415,7 +376,7 @@ fn mixed(
         shadow,
         sockets,
         stream: Stream::Mixed,
-        blocking: None,
+        shared_owner: false,
     }
 }
 
@@ -440,19 +401,13 @@ fn arb_stream() -> impl Strategy<Value = Stream> {
     prop_oneof![Just(Stream::Mixed), Just(Stream::Bursty)]
 }
 
-/// A blocking seed three times in four, no blocked slot otherwise.
-fn arb_blocking() -> impl Strategy<Value = Option<u64>> {
-    prop::option::of(0u64..1_000_000)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The batched/epoch path and the per-op reference produce identical
     /// simulations: reports, PMCs, LLC statistics, per-owner attribution
     /// and shadow misses all match exactly — on the single-socket and the
-    /// two-socket machine, for both streams, with and without blocked
-    /// slots.
+    /// two-socket machine, for both streams.
     #[test]
     fn batched_path_is_bit_identical_to_reference(
         policy in arb_policy(),
@@ -463,11 +418,9 @@ proptest! {
         shadow in prop_oneof![Just(false), Just(true)],
         sockets in prop_oneof![Just(1usize), Just(2)],
         stream in arb_stream(),
-        blocking in arb_blocking(),
     ) {
         let scenario = Scenario {
             stream,
-            blocking,
             ..mixed(policy, mode, seed, workload_count, budgets, shadow, sockets)
         };
         let batched = run_path(EnginePath::Batched, &scenario);
@@ -479,8 +432,7 @@ proptest! {
     /// multi-socket placements (slots straddling both sockets run on
     /// separate threads), shadow attribution on and off, and both execution
     /// modes — including Alternative, which degenerates to a single
-    /// populated socket and exercises the serial fallback. Both streams,
-    /// with and without blocked slots.
+    /// populated socket and runs inline. Both streams.
     #[test]
     fn parallel_path_is_bit_identical_to_reference(
         policy in arb_policy(),
@@ -490,11 +442,9 @@ proptest! {
         budgets in prop::collection::vec(500u64..30_000, 1..5),
         shadow in prop_oneof![Just(false), Just(true)],
         stream in arb_stream(),
-        blocking in arb_blocking(),
     ) {
         let scenario = Scenario {
             stream,
-            blocking,
             ..mixed(policy, mode, seed, workload_count, budgets, shadow, 2)
         };
         let parallel = run_path(EnginePath::Parallel, &scenario);
@@ -504,8 +454,9 @@ proptest! {
 
     /// Per-socket bit-identity holds past two sockets: on 4- and 8-socket
     /// cloud machines, with enough slots to populate many sockets at once,
-    /// the socket-parallel path still reproduces the reference exactly —
-    /// the determinism guarantee behind the cloudscale scenario.
+    /// both entry points — components on threads and components run
+    /// inline — still reproduce the reference exactly: the determinism
+    /// guarantee behind the cloudscale scenario.
     #[test]
     fn parallel_path_is_bit_identical_at_4_and_8_sockets(
         policy in arb_policy(),
@@ -516,16 +467,42 @@ proptest! {
         shadow in prop_oneof![Just(false), Just(true)],
         sockets in prop_oneof![Just(4usize), Just(8)],
         stream in arb_stream(),
-        blocking in arb_blocking(),
     ) {
         let scenario = Scenario {
             stream,
-            blocking,
             ..mixed(policy, mode, seed, workload_count, budgets, shadow, sockets)
         };
-        let parallel = run_path(EnginePath::Parallel, &scenario);
         let reference = run_path(EnginePath::Reference, &scenario);
-        prop_assert_eq!(parallel, reference);
+        prop_assert_eq!(&run_path(EnginePath::Parallel, &scenario), &reference);
+        prop_assert_eq!(run_path(EnginePath::Batched, &scenario), reference);
+    }
+
+    /// An owner with slots on two sockets (a VM whose vCPUs straddle
+    /// sockets 0 and 1), with shadow attribution on and off, on 2-, 4- and
+    /// 8-socket machines: both entry points reproduce the reference. With
+    /// shadow on, the owner's one shadow cache couples the two sockets into
+    /// one component, run against a multi-socket group, while any further
+    /// socket keeps its own component. The budgets are large enough for the
+    /// owner's streams to wrap its shadow cache, so the order of its
+    /// accesses across the two sockets decides its shadow misses.
+    #[test]
+    fn an_owner_spanning_sockets_is_bit_identical_to_reference(
+        policy in arb_policy(),
+        seed in 0u64..1_000_000,
+        workload_count in 2usize..7,
+        budgets in prop::collection::vec(20_000u64..150_000, 1..4),
+        shadow in prop_oneof![Just(false), Just(true)],
+        sockets in prop_oneof![Just(2usize), Just(4), Just(8)],
+        stream in arb_stream(),
+    ) {
+        let scenario = Scenario {
+            stream,
+            shared_owner: true,
+            ..mixed(policy, Mode::Parallel, seed, workload_count, budgets, shadow, sockets)
+        };
+        let reference = run_path(EnginePath::Reference, &scenario);
+        prop_assert_eq!(&run_path(EnginePath::Parallel, &scenario), &reference);
+        prop_assert_eq!(run_path(EnginePath::Batched, &scenario), reference);
     }
 
     /// A single slot driven to large budgets (the tight single-slot epoch

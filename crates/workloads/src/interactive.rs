@@ -172,7 +172,10 @@ mod tests {
         assert_eq!(w.name(), "interactive-streaming");
         assert_eq!(w.working_set_bytes(), ws);
         assert_eq!(w.mem_parallelism(), mlp);
-        assert_eq!(Interactive::new(ComputeOnly::new(1), 1).named("svc").name(), "svc");
+        assert_eq!(
+            Interactive::new(ComputeOnly::new(1), 1).named("svc").name(),
+            "svc"
+        );
     }
 
     #[test]
