@@ -41,20 +41,23 @@
 //! `CycleProfile` rollup appended as comments otherwise. Trace timestamps
 //! are simulated cycles, so the file is byte-identical across reruns and
 //! `--parallel-engine`; the status note goes to stderr, keeping stdout
-//! unchanged.
+//! unchanged. A `--trace-out` without a PATH (or with a flag in its place)
+//! exits 2 with a usage line.
 
 use kyoto_bench::{figures_config, figures_quick_config};
 use kyoto_experiments::cloudscale::{self, CloudscaleSweep};
 use kyoto_experiments::config::ExperimentConfig;
 use kyoto_experiments::failures::{self, FailureSweep};
 use kyoto_experiments::fleet::{self, FleetSweep};
+use kyoto_experiments::harness::run_jobs;
 use kyoto_experiments::service::{self, ServiceSweep};
 use kyoto_experiments::{
     fig1, fig10, fig11, fig12, fig2, fig3, fig4, fig5, fig6, fig8, fig9, interactive, tables,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+const USAGE: &str = "usage: figures [--quick] [--jobs N] [--parallel-engine] [--no-timing] \
+                     [--trace-out PATH] [--scenario NAME] [TARGET...|all]";
 
 const ALL_TARGETS: [&str; 19] = [
     "table1",
@@ -170,75 +173,34 @@ fn render_target(
     })
 }
 
-/// A rendered target: its table (when the name was known) plus how long the
-/// scenario took.
-type Rendered = (Option<String>, Duration);
-
-/// Renders every target on up to `jobs` worker threads, returning outputs in
-/// input order.
-fn render_all(
-    targets: &[&str],
-    config: &ExperimentConfig,
-    jobs: usize,
-    quick: bool,
-) -> Vec<Rendered> {
-    let results: Mutex<Vec<Option<Rendered>>> = Mutex::new(vec![None; targets.len()]);
-    let cursor = AtomicUsize::new(0);
-    let workers = jobs.clamp(1, targets.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(target) = targets.get(index) else {
-                    break;
-                };
-                let start = Instant::now();
-                let output = render_target(target, config, quick, jobs);
-                let elapsed = start.elapsed();
-                results.lock().expect("no poisoned worker")[index] = Some((output, elapsed));
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("no poisoned worker")
-        .into_iter()
-        .map(|entry| entry.expect("every target rendered"))
-        .collect()
+/// The value of each `NAME=VALUE` or `NAME VALUE` occurrence of flag
+/// `name`, in order; `None` for a trailing `NAME` with nothing after it.
+fn flag_values<'a>(args: &'a [String], name: &'a str) -> impl Iterator<Item = Option<&'a str>> {
+    args.iter()
+        .enumerate()
+        .filter_map(move |(i, arg)| match arg.strip_prefix(name)? {
+            "" => Some(args.get(i + 1).map(String::as_str)),
+            rest => rest.strip_prefix('=').map(Some),
+        })
 }
 
+/// `--jobs N`, defaulting to the host's parallelism. Only a numeric value
+/// counts: `--jobs fig1` keeps fig1 as a target.
 fn parse_jobs(args: &[String]) -> usize {
-    let default = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(value) = arg.strip_prefix("--jobs=") {
-            return value.parse().unwrap_or_else(|_| default()).max(1);
-        }
-        if arg == "--jobs" {
-            // Only a numeric follower is the value; `--jobs fig1` keeps
-            // fig1 as a target and uses the default parallelism.
-            if let Some(jobs) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                return 1usize.max(jobs);
-            }
-            return default();
-        }
-    }
-    default()
+    let jobs = flag_values(args, "--jobs").next().flatten();
+    let default = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    jobs.and_then(|jobs| jobs.parse().ok())
+        .map_or_else(default, |jobs: usize| jobs.max(1))
 }
 
-fn parse_trace_out(args: &[String]) -> Option<String> {
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(path) = arg.strip_prefix("--trace-out=") {
-            return Some(path.to_string());
-        }
-        if arg == "--trace-out" {
-            return args.get(i + 1).cloned();
-        }
+/// The `--trace-out` path, if one is given. A missing value, or a flag in
+/// its place, is an error.
+fn parse_trace_out(args: &[String]) -> Result<Option<&str>, &'static str> {
+    match flag_values(args, "--trace-out").next() {
+        None => Ok(None),
+        Some(Some(path)) if !path.is_empty() && !path.starts_with("--") => Ok(Some(path)),
+        Some(_) => Err("--trace-out needs a PATH"),
     }
-    None
 }
 
 /// Captures the selected targets' representative traces and writes the
@@ -273,49 +235,29 @@ fn main() {
         figures_config()
     }
     .with_parallel_engine(parallel_engine);
-    let trace_out = parse_trace_out(&args);
-    let mut skip_next = false;
-    let mut skip_path = false;
-    let mut targets: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_path {
-                // `--trace-out`'s follower is always its value.
-                skip_path = false;
-                return false;
-            }
-            if skip_next {
-                skip_next = false;
-                // Consume the value only when it is numeric; `--jobs fig1`
-                // keeps fig1 as a target.
-                if a.parse::<usize>().is_ok() {
-                    return false;
-                }
-            }
-            if a.as_str() == "--jobs" {
-                skip_next = true;
-                return false;
-            }
-            if a.as_str() == "--trace-out" {
-                skip_path = true;
-                return false;
-            }
-            !a.starts_with("--")
+    let trace_out = parse_trace_out(&args).unwrap_or_else(|error| {
+        eprintln!("error: {error}\n{USAGE}");
+        std::process::exit(2);
+    });
+    // Targets are the non-flag arguments, less the value of a preceding
+    // `--trace-out` and the numeric value of a preceding `--jobs`
+    // (`--jobs fig1` keeps fig1 as a target).
+    let mut targets: Vec<&str> = (0..args.len())
+        .filter(|&i| {
+            let is_value = match i.checked_sub(1).map(|previous| args[previous].as_str()) {
+                Some("--trace-out") => true,
+                Some("--jobs") => args[i].parse::<usize>().is_ok(),
+                _ => false,
+            };
+            !is_value && !args[i].starts_with("--")
         })
-        .map(|a| a.as_str())
+        .map(|i| args[i].as_str())
         .collect();
     // `--scenario NAME` selects a target explicitly (equivalent to passing
     // NAME positionally; the value is already kept by the filter above).
-    for (i, arg) in args.iter().enumerate() {
-        let name = match arg.strip_prefix("--scenario=") {
-            Some(name) => Some(name),
-            None if arg == "--scenario" => args.get(i + 1).map(|a| a.as_str()),
-            None => None,
-        };
-        if let Some(name) = name {
-            if !targets.contains(&name) {
-                targets.push(name);
-            }
+    for name in flag_values(&args, "--scenario").flatten() {
+        if !targets.contains(&name) {
+            targets.push(name);
         }
     }
     if targets.is_empty() || targets.contains(&"all") {
@@ -327,10 +269,12 @@ fn main() {
     );
     println!("{}", "=".repeat(72));
     let start = Instant::now();
-    for (target, (output, elapsed)) in targets
-        .iter()
-        .zip(render_all(&targets, &config, jobs, quick))
-    {
+    let rendered = run_jobs(targets.len(), jobs, |index| {
+        let start = Instant::now();
+        let output = render_target(targets[index], &config, quick, jobs);
+        (output, start.elapsed())
+    });
+    for (target, (output, elapsed)) in targets.iter().zip(rendered) {
         match output {
             Some(table) => {
                 println!("{table}");
@@ -346,6 +290,6 @@ fn main() {
         println!("[all targets done in {:.1?}]", start.elapsed());
     }
     if let Some(path) = trace_out {
-        write_trace(&path, &targets, &config);
+        write_trace(path, &targets, &config);
     }
 }

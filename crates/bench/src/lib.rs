@@ -2,24 +2,21 @@
 //!
 //! * the [`figures`](../figures/index.html) binary regenerates every table
 //!   and figure of the paper (`cargo run -p kyoto-bench --bin figures --release -- all`);
-//! * `benches/figures_bench.rs` measures the scenario generation of each
-//!   figure with Criterion;
-//! * `benches/ablation_bench.rs` runs the design-choice ablations called out
-//!   in `DESIGN.md` (LLC replacement policy, monitoring strategy, tick
-//!   length);
-//! * `benches/substrate_bench.rs` measures the raw substrate (cache lookups,
-//!   engine throughput, scheduler decisions).
+//! * `substrate_baseline` times each substrate layer into
+//!   `BENCH_substrate.json` and gates that file (`--check`) through [`ledger`];
+//! * [`legacy`] freezes the seed hot path the engine rows compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ledger;
 pub mod legacy;
 
 use kyoto_experiments::config::ExperimentConfig;
 
-/// The configuration used by the Criterion benches: small enough that each
-/// iteration completes in well under a second, large enough that contention
-/// phenomena are visible.
+/// The configuration `substrate_baseline` measures at: small enough that
+/// each repetition completes in well under a second, large enough that
+/// contention phenomena are visible.
 pub fn bench_config() -> ExperimentConfig {
     ExperimentConfig {
         scale: 256,

@@ -19,7 +19,7 @@ pub enum Fidelity {
     /// tests and quick smoke runs (seconds of wall-clock time).
     Quick,
     /// Longer runs on a moderately scaled machine — used by the `figures`
-    /// binary and the Criterion benches.
+    /// binary.
     Standard,
 }
 

@@ -41,7 +41,7 @@
 //! `kyoto_hypervisor::pisces`.)
 //!
 //! The same functions back the `figures` binary of `kyoto-bench`, the
-//! Criterion benchmarks, the integration tests and the examples.
+//! integration tests and the examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,8 @@
 //! The paper's testbed uses an ordinary LRU-managed last-level cache; the
 //! related-work section (Section 6) discusses replacement-policy based
 //! mitigations (DIP: LRU vs. BIP with set dueling). We provide LRU as the
-//! default plus BIP/DIP/Random so that the benchmark harness can run the
-//! replacement-policy ablation discussed in `DESIGN.md`.
+//! default plus BIP/DIP/Random, which the engine-equivalence properties
+//! sweep alongside it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

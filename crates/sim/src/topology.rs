@@ -193,7 +193,7 @@ impl MachineConfig {
         }
     }
 
-    /// Replaces the LLC replacement policy (used by the replacement ablation).
+    /// Replaces the LLC replacement policy (LRU by default).
     pub fn with_llc_policy(mut self, policy: crate::replacement::ReplacementPolicy) -> Self {
         self.llc = self.llc.with_policy(policy);
         self

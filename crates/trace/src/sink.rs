@@ -15,7 +15,7 @@
 //! a branch on [`TraceSink::is_enabled`] and returns immediately without
 //! interning, allocating or touching any map. The `substrate_baseline`
 //! bench pins this (`trace_overhead` section, gated by
-//! `ci/check_bench.sh`).
+//! `substrate_baseline --check`).
 
 use std::collections::BTreeMap;
 
