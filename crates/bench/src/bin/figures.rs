@@ -41,8 +41,12 @@
 //! `CycleProfile` rollup appended as comments otherwise. Trace timestamps
 //! are simulated cycles, so the file is byte-identical across reruns and
 //! `--parallel-engine`; the status note goes to stderr, keeping stdout
-//! unchanged. A `--trace-out` without a PATH (or with a flag in its place)
-//! exits 2 with a usage line.
+//! unchanged.
+//!
+//! The command line is parsed strictly, before anything renders: an unknown
+//! flag or target, a `--jobs` value that is not a positive integer, or a
+//! `--jobs`, `--trace-out` or `--scenario` without its value (or with a flag
+//! in its place) exits 2 with the usage line on stderr.
 
 use kyoto_bench::{figures_config, figures_quick_config};
 use kyoto_experiments::cloudscale::{self, CloudscaleSweep};
@@ -81,13 +85,9 @@ const ALL_TARGETS: [&str; 19] = [
     "interactive",
 ];
 
-fn render_target(
-    target: &str,
-    config: &ExperimentConfig,
-    quick: bool,
-    jobs: usize,
-) -> Option<String> {
-    Some(match target {
+/// Renders one target, which [`parse_args`] has already checked is known.
+fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usize) -> String {
+    match target {
         "table1" => tables::table1().to_table(),
         "table2" => tables::table2().to_table(),
         "fig1" => fig1::run(config).to_table(),
@@ -169,38 +169,67 @@ fn render_target(
             // under KS4Xen — the CI determinism gate's interactive target.
             interactive::run(config).to_table()
         }
-        _ => return None,
-    })
-}
-
-/// The value of each `NAME=VALUE` or `NAME VALUE` occurrence of flag
-/// `name`, in order; `None` for a trailing `NAME` with nothing after it.
-fn flag_values<'a>(args: &'a [String], name: &'a str) -> impl Iterator<Item = Option<&'a str>> {
-    args.iter()
-        .enumerate()
-        .filter_map(move |(i, arg)| match arg.strip_prefix(name)? {
-            "" => Some(args.get(i + 1).map(String::as_str)),
-            rest => rest.strip_prefix('=').map(Some),
-        })
-}
-
-/// `--jobs N`, defaulting to the host's parallelism. Only a numeric value
-/// counts: `--jobs fig1` keeps fig1 as a target.
-fn parse_jobs(args: &[String]) -> usize {
-    let jobs = flag_values(args, "--jobs").next().flatten();
-    let default = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    jobs.and_then(|jobs| jobs.parse().ok())
-        .map_or_else(default, |jobs: usize| jobs.max(1))
-}
-
-/// The `--trace-out` path, if one is given. A missing value, or a flag in
-/// its place, is an error.
-fn parse_trace_out(args: &[String]) -> Result<Option<&str>, &'static str> {
-    match flag_values(args, "--trace-out").next() {
-        None => Ok(None),
-        Some(Some(path)) if !path.is_empty() && !path.starts_with("--") => Ok(Some(path)),
-        Some(_) => Err("--trace-out needs a PATH"),
+        other => unreachable!("target `{other}` was not validated"),
     }
+}
+
+/// The parsed command line.
+#[derive(Default)]
+struct Cli<'a> {
+    quick: bool,
+    parallel_engine: bool,
+    no_timing: bool,
+    /// `--jobs N`; `None` means the host's parallelism.
+    jobs: Option<usize>,
+    trace_out: Option<&'a str>,
+    /// Positional and `--scenario` targets, in command-line order.
+    targets: Vec<&'a str>,
+}
+
+/// `name` if it is `all` or one of [`ALL_TARGETS`].
+fn known_target(name: &str) -> Result<&str, String> {
+    if name == "all" || ALL_TARGETS.contains(&name) {
+        Ok(name)
+    } else {
+        Err(format!("unknown target `{name}` (known: {ALL_TARGETS:?})"))
+    }
+}
+
+/// Parses the arguments. Value flags take `NAME VALUE` or `NAME=VALUE`;
+/// everything that is not a flag is a target.
+fn parse_args(args: &[String]) -> Result<Cli<'_>, String> {
+    let mut cli = Cli::default();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            cli.targets.push(known_target(arg)?);
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg, None),
+        };
+        let mut value = || match inline.or_else(|| args.next()) {
+            Some(value) if !value.is_empty() && !value.starts_with("--") => Ok(value),
+            _ => Err(format!("{flag} needs a value")),
+        };
+        match (flag, inline) {
+            ("--quick", None) => cli.quick = true,
+            ("--parallel-engine", None) => cli.parallel_engine = true,
+            ("--no-timing", None) => cli.no_timing = true,
+            ("--jobs", _) => {
+                let jobs = value()?;
+                match jobs.parse() {
+                    Ok(n) if n > 0 => cli.jobs = Some(n),
+                    _ => return Err(format!("--jobs needs a positive integer, got `{jobs}`")),
+                }
+            }
+            ("--trace-out", _) => cli.trace_out = Some(value()?),
+            ("--scenario", _) => cli.targets.push(known_target(value()?)?),
+            _ => return Err(format!("unknown flag `{arg}`")),
+        }
+    }
+    Ok(cli)
 }
 
 /// Captures the selected targets' representative traces and writes the
@@ -225,44 +254,24 @@ fn write_trace(path: &str, targets: &[&str], config: &ExperimentConfig) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let parallel_engine = args.iter().any(|a| a == "--parallel-engine");
-    let no_timing = args.iter().any(|a| a == "--no-timing");
-    let jobs = parse_jobs(&args);
-    let config = if quick {
+    let cli = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("error: {error}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let jobs = cli
+        .jobs
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let config = if cli.quick {
         figures_quick_config()
     } else {
         figures_config()
     }
-    .with_parallel_engine(parallel_engine);
-    let trace_out = parse_trace_out(&args).unwrap_or_else(|error| {
-        eprintln!("error: {error}\n{USAGE}");
-        std::process::exit(2);
-    });
-    // Targets are the non-flag arguments, less the value of a preceding
-    // `--trace-out` and the numeric value of a preceding `--jobs`
-    // (`--jobs fig1` keeps fig1 as a target).
-    let mut targets: Vec<&str> = (0..args.len())
-        .filter(|&i| {
-            let is_value = match i.checked_sub(1).map(|previous| args[previous].as_str()) {
-                Some("--trace-out") => true,
-                Some("--jobs") => args[i].parse::<usize>().is_ok(),
-                _ => false,
-            };
-            !is_value && !args[i].starts_with("--")
-        })
-        .map(|i| args[i].as_str())
-        .collect();
-    // `--scenario NAME` selects a target explicitly (equivalent to passing
-    // NAME positionally; the value is already kept by the filter above).
-    for name in flag_values(&args, "--scenario").flatten() {
-        if !targets.contains(&name) {
-            targets.push(name);
-        }
-    }
-    if targets.is_empty() || targets.contains(&"all") {
-        targets = ALL_TARGETS.to_vec();
-    }
+    .with_parallel_engine(cli.parallel_engine);
+    let targets = if cli.targets.is_empty() || cli.targets.contains(&"all") {
+        ALL_TARGETS.to_vec()
+    } else {
+        cli.targets
+    };
     println!(
         "Kyoto figure regeneration (scale 1/{}, {} warm-up + {} measured ticks per scenario, {} jobs)",
         config.scale, config.warmup_ticks, config.measure_ticks, jobs
@@ -271,25 +280,20 @@ fn main() {
     let start = Instant::now();
     let rendered = run_jobs(targets.len(), jobs, |index| {
         let start = Instant::now();
-        let output = render_target(targets[index], &config, quick, jobs);
+        let output = render_target(targets[index], &config, cli.quick, jobs);
         (output, start.elapsed())
     });
-    for (target, (output, elapsed)) in targets.iter().zip(rendered) {
-        match output {
-            Some(table) => {
-                println!("{table}");
-                if !no_timing {
-                    println!("[{} generated in {:.1?}]", target, elapsed);
-                }
-            }
-            None => eprintln!("unknown target `{target}` (known: {ALL_TARGETS:?})"),
+    for (target, (table, elapsed)) in targets.iter().zip(rendered) {
+        println!("{table}");
+        if !cli.no_timing {
+            println!("[{} generated in {:.1?}]", target, elapsed);
         }
         println!("{}", "=".repeat(72));
     }
-    if !no_timing {
+    if !cli.no_timing {
         println!("[all targets done in {:.1?}]", start.elapsed());
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = cli.trace_out {
         write_trace(path, &targets, &config);
     }
 }

@@ -17,7 +17,9 @@
 //! `--check [FILE]` (default `BENCH_substrate.json`) gates a written file
 //! against [`kyoto_bench::ledger::GATES`]: exit 0 when every gate passes,
 //! 1 when any fails (each failure printed as `section.key value < floor
-//! [layer]`), 2 when the file is unreadable, malformed or incomplete.
+//! [layer]`), 2 when the file is unreadable, malformed or incomplete. Any
+//! other argument exits 2 with the usage line before anything is timed or
+//! written.
 
 use kyoto_bench::bench_config;
 use kyoto_bench::ledger::{self, Ledger, ScalingPoint, Section};
@@ -57,6 +59,8 @@ const BUDGET: u64 = 100_000;
 const EPOCHS: u64 = 4;
 
 const CYCLES: &str = "Msimcycles/s";
+
+const USAGE: &str = "usage: substrate_baseline [--stdout | --check [FILE]]";
 
 /// Runs `work` on a fresh `setup()` state per call, `amount` units per
 /// call, and returns the best units/second over [`REPS`] timed calls after
@@ -346,7 +350,7 @@ fn measure(config: &ExperimentConfig) -> Ledger {
     // growing tables).
     let geometry = CacheConfig::new(640 * 1024, 20, 64);
     let cache = || Cache::new(geometry.clone()).expect("valid cache geometry");
-    let seed_cache = || LegacyCache::with_seed(geometry.clone(), 0x6b796f746f);
+    let seed_cache = || LegacyCache::new(geometry.clone());
     let hit = |i: u64| ((i % 4096) * 64, 1);
     let miss = |i: u64| (i * 64, (i % 4) as u16 + 1);
     let lookups = [
@@ -523,16 +527,20 @@ fn check(path: &str) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(at) = args.iter().position(|arg| arg == "--check") {
-        let path = args
-            .get(at + 1)
-            .filter(|arg| !arg.starts_with("--"))
-            .map_or("BENCH_substrate.json", String::as_str);
-        std::process::exit(check(path));
-    }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let write = match args[..] {
+        [] => true,
+        ["--stdout"] => false,
+        ["--check"] => std::process::exit(check("BENCH_substrate.json")),
+        ["--check", path] if !path.starts_with("--") => std::process::exit(check(path)),
+        _ => {
+            eprintln!("error: unexpected arguments {args:?}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let json = measure(&bench_config()).to_json();
     print!("{json}");
-    if !args.iter().any(|arg| arg == "--stdout") {
+    if write {
         std::fs::write("BENCH_substrate.json", &json).expect("write BENCH_substrate.json");
         eprintln!("[baseline written to BENCH_substrate.json]");
     }

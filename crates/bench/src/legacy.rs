@@ -14,7 +14,6 @@
 use kyoto_sim::cache::{CacheConfig, OwnerId};
 use kyoto_sim::hierarchy::{AccessKind, MemLevel};
 use kyoto_sim::pmc::PmcSet;
-use kyoto_sim::replacement::{InsertPosition, ReplacementState};
 use kyoto_sim::topology::{CoreId, LatencyConfig, MachineConfig, NumaNode};
 use kyoto_sim::workload::{Op, Workload};
 
@@ -53,7 +52,6 @@ pub struct LegacyCache {
     config: CacheConfig,
     num_sets: u64,
     lines: Vec<CacheLine>,
-    replacement: ReplacementState,
     clock: u64,
     owner_lines: Vec<u64>,
     owner_misses: Vec<u64>,
@@ -65,12 +63,11 @@ pub struct LegacyCache {
 }
 
 impl LegacyCache {
-    /// Builds the cache the way the seed's `Cache::with_seed` did.
-    pub fn with_seed(config: CacheConfig, seed: u64) -> Self {
+    /// Builds the cache the way the seed's `Cache` constructor did.
+    pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets().expect("valid geometry");
         let total_lines = (num_sets * u64::from(config.ways)) as usize;
         LegacyCache {
-            replacement: ReplacementState::new(config.policy, seed),
             config,
             num_sets,
             lines: vec![CacheLine::INVALID; total_lines],
@@ -91,8 +88,9 @@ impl LegacyCache {
         (addr / u64::from(self.config.line_size)) / self.num_sets
     }
 
-    /// The seed's `Cache::access`, verbatim modulo struct names: hit scan,
-    /// then a second scan for an invalid way, then a `Vec`-collecting
+    /// The seed's `Cache::access`, verbatim modulo struct names and with its
+    /// replacement-policy dispatch inlined as LRU: hit scan, then a second
+    /// scan for an invalid way, then a `Vec`-collecting min-timestamp
     /// eviction scan.
     pub fn access(&mut self, addr: u64, owner: OwnerId) -> (bool, Option<OwnerId>) {
         self.clock += 1;
@@ -114,7 +112,6 @@ impl LegacyCache {
 
         self.misses += 1;
         bump(&mut self.owner_misses, owner, 1);
-        self.replacement.on_miss(set, self.num_sets as usize);
 
         let mut victim_way = None;
         for way in 0..ways {
@@ -128,32 +125,24 @@ impl LegacyCache {
             None => {
                 let timestamps: Vec<u64> =
                     (0..ways).map(|w| self.lines[base + w].last_use).collect();
-                let way = self.replacement.pick_victim(&timestamps);
+                let mut way = 0;
+                let mut oldest = timestamps[0];
+                for (w, &ts) in timestamps.iter().enumerate().skip(1) {
+                    if ts < oldest {
+                        oldest = ts;
+                        way = w;
+                    }
+                }
                 let evicted = self.lines[base + way];
                 bump(&mut self.owner_lines, evicted.owner, -1);
                 (way, Some(evicted.owner))
             }
         };
 
-        let insert_pos = self
-            .replacement
-            .insert_position(set, self.num_sets as usize);
-        let last_use = match insert_pos {
-            InsertPosition::Mru => self.clock,
-            InsertPosition::Lru => {
-                let oldest = (0..ways)
-                    .filter(|&w| w != victim_way && self.lines[base + w].valid)
-                    .map(|w| self.lines[base + w].last_use)
-                    .min()
-                    .unwrap_or(self.clock);
-                oldest.saturating_sub(1)
-            }
-        };
-
         self.lines[base + victim_way] = CacheLine {
             tag,
             owner,
-            last_use,
+            last_use: self.clock,
             valid: true,
         };
         bump(&mut self.owner_lines, owner, 1);
@@ -210,23 +199,21 @@ pub struct LegacyMachine {
 }
 
 impl LegacyMachine {
-    /// Builds the machine with the seed's cache seeds, so its eviction
-    /// streams match a `Machine::new` of the same config.
+    /// Builds the machine, so its eviction streams match a `Machine::new`
+    /// of the same config.
     pub fn new(config: MachineConfig) -> Self {
         let mut sockets = Vec::with_capacity(config.sockets);
-        for s in 0..config.sockets {
-            let llc_seed = 0x11c + s as u64;
+        for _ in 0..config.sockets {
             let mut cores = Vec::with_capacity(config.cores_per_socket);
-            for c in 0..config.cores_per_socket {
-                let seed = (s * 31 + c) as u64;
+            for _ in 0..config.cores_per_socket {
                 cores.push(LegacyCoreCaches {
-                    l1d: LegacyCache::with_seed(config.l1d.clone(), seed ^ 0x11d),
-                    l1i: LegacyCache::with_seed(config.l1i.clone(), seed ^ 0x111),
-                    l2: LegacyCache::with_seed(config.l2.clone(), seed ^ 0x222),
+                    l1d: LegacyCache::new(config.l1d.clone()),
+                    l1i: LegacyCache::new(config.l1i.clone()),
+                    l2: LegacyCache::new(config.l2.clone()),
                 });
             }
             sockets.push(LegacySocket {
-                llc: LegacyCache::with_seed(config.llc.clone(), llc_seed),
+                llc: LegacyCache::new(config.llc.clone()),
                 cores,
             });
         }

@@ -1,5 +1,6 @@
 //! Fixture: cluster-no-panic corpus. Never compiled — linted by the
-//! self-tests under a cluster path (rule fires) and a sim path (it does not).
+//! self-tests under cluster, service and trace paths (rule fires) and a sim
+//! path (it does not).
 
 fn flagged_unwrap(x: Option<u32>) -> u32 {
     x.unwrap() // MARK: flagged-unwrap

@@ -17,9 +17,11 @@
 //!   `// SAFETY:` comment within the three preceding lines, and every
 //!   workspace crate root must declare `#![forbid(unsafe_code)]`.
 //! * **cluster-no-panic** — `unwrap`/`expect`/`panic!` (plus
-//!   `unreachable!`/`todo!`/`unimplemented!`) forbidden in
-//!   `crates/cluster/src` non-test code: every fallible cluster path returns
-//!   a typed `ClusterError`.
+//!   `unreachable!`/`todo!`/`unimplemented!`) forbidden in the non-test
+//!   code of `crates/cluster/src`, `crates/service/src` and
+//!   `crates/trace/src`: every fallible path there returns a typed error
+//!   (`ClusterError`, `TraceParseError`, `TraceFormatError`). The rule id
+//!   predates the service and trace scope and is kept for existing allows.
 //! * **frozen-code** — SHA-256 of normalized source for the frozen
 //!   `kyoto_bench::legacy` baseline and the `run_slots_reference` region,
 //!   pinned in `ci/frozen_hashes.txt`; any drift fails the build.
@@ -55,6 +57,13 @@ const NONDET_SCOPE: [&str; 7] = [
     "crates/hypervisor/src/",
     "crates/cluster/src/",
     "crates/experiments/src/",
+    "crates/service/src/",
+    "crates/trace/src/",
+];
+
+/// Crates whose non-test code must not panic (cluster-no-panic).
+const NO_PANIC_SCOPE: [&str; 3] = [
+    "crates/cluster/src/",
     "crates/service/src/",
     "crates/trace/src/",
 ];
@@ -460,7 +469,8 @@ fn rule_unsafe_safety(
     diags
 }
 
-/// cluster-no-panic: panicking constructs forbidden in cluster non-test code.
+/// cluster-no-panic: panicking constructs forbidden in the non-test code of
+/// [`NO_PANIC_SCOPE`].
 fn rule_cluster_no_panic(rel_path: &str, tokens: &[Token], test_mask: &[bool]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut push = |line: usize, what: &str| {
@@ -472,8 +482,8 @@ fn rule_cluster_no_panic(rel_path: &str, tokens: &[Token], test_mask: &[bool]) -
             line: line + 1,
             rule: "cluster-no-panic",
             message: format!(
-                "`{what}` in cluster non-test code — every fallible cluster path returns a typed \
-                 `ClusterError`; prove the invariant in an allow reason or convert to an error"
+                "`{what}` in no-panic non-test code — every fallible path returns a typed error; \
+                 prove the invariant in an allow reason or convert to an error"
             ),
         });
     };
@@ -547,7 +557,7 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
         &lexed.comments,
         is_crate_root(rel_path),
     ));
-    if rel_path.starts_with("crates/cluster/src/") {
+    if NO_PANIC_SCOPE.iter().any(|p| rel_path.starts_with(p)) {
         findings.extend(rule_cluster_no_panic(rel_path, &tokens, &test_mask));
     }
 

@@ -149,12 +149,28 @@ fn cluster_no_panic_flags_panicking_constructs() {
 }
 
 #[test]
+fn cluster_no_panic_covers_service_and_trace() {
+    for path in [
+        "crates/service/src/fixture.rs",
+        "crates/trace/src/fixture.rs",
+    ] {
+        let diags = lint_source(path, CLUSTER_PANIC);
+        let lines = lines_for(&diags, "cluster-no-panic");
+        assert!(
+            lines.contains(&line_of(CLUSTER_PANIC, "MARK: flagged-unwrap")),
+            "{path}: {diags:?}"
+        );
+        assert_eq!(lines.len(), 4, "{path}: {diags:?}");
+    }
+}
+
+#[test]
 fn cluster_no_panic_spares_tests_allows_and_other_crates() {
     let diags = lint_source("crates/cluster/src/fixture.rs", CLUSTER_PANIC);
     let lines = lines_for(&diags, "cluster-no-panic");
     assert!(!lines.contains(&line_of(CLUSTER_PANIC, "MARK: allowed-expect")));
     assert!(!lines.contains(&line_of(CLUSTER_PANIC, "MARK: test-unwrap")));
-    // The rule is cluster-only: the same code lints clean under sim.
+    // The rule is scoped: the same code lints clean under sim.
     let diags = lint_source("crates/sim/src/fixture.rs", CLUSTER_PANIC);
     assert_eq!(lines_for(&diags, "cluster-no-panic"), Vec::<usize>::new());
 }

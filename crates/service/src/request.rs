@@ -19,14 +19,15 @@
 //! |-----------------|----------------------------------------------------|
 //! | `version 1`     | format version; must be the first directive        |
 //! | `seed N`        | seed of the generated request streams              |
-//! | `epochs N`      | trace length; replay stops at this epoch           |
+//! | `epochs N`      | trace length, at most `MAX_EPOCHS`; replay stops   |
 //! | `place_rate X`  | expected `PlaceVm` requests per epoch (fractional) |
 //! | `depart_rate X` | expected `DepartVm` requests per epoch             |
 //! | `query_rate X`  | expected `QueryTelemetry` requests per epoch       |
 //!
 //! Every rate `X` must lie in `0..=`[`MAX_RATE`] (1024): an epoch draws at
 //! most `X + 1` requests per rate, so no trace can make an epoch allocate
-//! without bound.
+//! without bound. `N` in `epochs N` must be at most [`MAX_EPOCHS`]
+//! (1,000,000), so no trace can make a replay run without bound.
 //!
 //! Scripted entries follow, in application order within their epoch:
 //!
@@ -56,6 +57,11 @@ pub const TRACE_VERSION: u32 = 1;
 /// rejects larger rates and [`RequestTrace::new`] clamps them. The largest
 /// rate any scenario uses is 3.0.
 pub const MAX_RATE: f64 = 1024.0;
+
+/// Longest trace, in epochs, a trace may declare. [`RequestTrace::parse`]
+/// rejects longer traces and [`RequestTrace::new`] clamps them. The longest
+/// trace any caller builds has 1,005 epochs.
+pub const MAX_EPOCHS: u64 = 1_000_000;
 
 /// One control-plane request, addressed to the service at an epoch
 /// boundary.
@@ -187,9 +193,11 @@ impl std::error::Error for TraceParseError {}
 
 impl RequestTrace {
     /// Creates a trace. Rates are clamped to `0..=`[`MAX_RATE`] (a NaN rate
-    /// becomes 0), so [`RequestTrace::parse`] accepts what
-    /// [`RequestTrace::render`] makes of every trace.
+    /// becomes 0) and the length to [`MAX_EPOCHS`], so
+    /// [`RequestTrace::parse`] accepts what [`RequestTrace::render`] makes
+    /// of every trace.
     pub fn new(mut config: RequestTraceConfig) -> Self {
+        config.epochs = config.epochs.min(MAX_EPOCHS);
         for rate in [
             &mut config.place_rate,
             &mut config.depart_rate,
@@ -272,7 +280,8 @@ impl RequestTrace {
     /// [`TraceParseError::UnsupportedVersion`] when the first directive is
     /// not `version 1`; [`TraceParseError::MalformedLine`] for any line
     /// that is neither a directive, a scripted entry, a comment nor blank,
-    /// and for a rate outside `0..=`[`MAX_RATE`].
+    /// for a rate outside `0..=`[`MAX_RATE`], and for a length above
+    /// [`MAX_EPOCHS`].
     pub fn parse(text: &str) -> Result<RequestTrace, TraceParseError> {
         let mut config = RequestTraceConfig::new(0, 0);
         let mut saw_version = false;
@@ -307,8 +316,10 @@ impl RequestTrace {
                     }
                     if key == "seed" {
                         config.seed = value;
-                    } else {
+                    } else if value <= MAX_EPOCHS {
                         config.epochs = value;
+                    } else {
+                        return Err(malformed());
                     }
                 }
                 "place_rate" | "depart_rate" | "query_rate" => {
@@ -473,6 +484,31 @@ mod tests {
             let config = trace.config();
             let rates = [config.place_rate, config.depart_rate, config.query_rate];
             assert!(rates.contains(&MAX_RATE), "{key} {MAX_RATE} must parse");
+        }
+    }
+
+    #[test]
+    fn epochs_above_max_epochs_are_rejected_and_max_epochs_parses() {
+        let trace = RequestTrace::parse(&format!("version 1\nepochs {MAX_EPOCHS}\n")).unwrap();
+        assert_eq!(trace.config().epochs, MAX_EPOCHS);
+        assert_eq!(RequestTrace::parse(&trace.render()).unwrap(), trace);
+        for epochs in [MAX_EPOCHS + 1, u64::MAX] {
+            assert!(
+                matches!(
+                    RequestTrace::parse(&format!("version 1\nepochs {epochs}\n")),
+                    Err(TraceParseError::MalformedLine { line: 2, .. })
+                ),
+                "epochs {epochs} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn new_clamps_epochs_so_every_trace_round_trips() {
+        for epochs in [MAX_EPOCHS + 1, u64::MAX] {
+            let trace = RequestTrace::new(RequestTraceConfig::new(1, epochs));
+            assert_eq!(trace.config().epochs, MAX_EPOCHS);
+            assert_eq!(RequestTrace::parse(&trace.render()).unwrap(), trace);
         }
     }
 

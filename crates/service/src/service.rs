@@ -379,16 +379,18 @@ impl FleetService {
             );
         }
 
-        // Run the epoch, then publish.
+        // Run the epoch, then publish. A due checkpoint holds the published
+        // stream, this epoch's record included.
         self.cluster.run_epoch()?;
         let record = self.build_record();
-        self.telemetry.publish(record);
         if let Some(every) = self.config.checkpoint_every {
             if every > 0 && self.cluster.epoch().is_multiple_of(every) {
-                self.auto_checkpoint = Some(Box::new(self.checkpoint()?));
+                let mut checkpoint = self.checkpoint()?;
+                checkpoint.records.push(record.clone());
+                self.auto_checkpoint = Some(Box::new(checkpoint));
             }
         }
-        Ok(self.telemetry.latest().expect("just published"))
+        Ok(self.telemetry.publish(record))
     }
 
     /// Replays the trace to its end.

@@ -246,9 +246,9 @@ impl TelemetryLog {
         TelemetryLog { records }
     }
 
-    /// Publishes one record.
-    pub fn publish(&mut self, record: TelemetryRecord) {
-        self.records.push(record);
+    /// Publishes one record and returns it as stored.
+    pub fn publish(&mut self, record: TelemetryRecord) -> &TelemetryRecord {
+        self.records.push_mut(record)
     }
 
     /// Every record published so far, oldest first.
@@ -326,8 +326,8 @@ mod tests {
     fn log_publishes_in_order_and_serves_latest() {
         let mut log = TelemetryLog::new();
         assert!(log.latest().is_none());
-        log.publish(record(0));
-        log.publish(record(1));
+        assert_eq!(log.publish(record(0)), &record(0));
+        assert_eq!(log.publish(record(1)), &record(1));
         assert_eq!(log.records().len(), 2);
         assert_eq!(log.latest().map(|r| r.epoch), Some(1));
         assert_eq!(log.render(), record(0).render() + &record(1).render());

@@ -14,13 +14,18 @@
 //!    byte-equal to the original's;
 //! 5. a parsed request trace is **bounded**: an epoch never yields more
 //!    than its scripted entries plus `MAX_RATE + 1` requests per rate, and
-//!    a trace parses exactly when every rate is within `0..=MAX_RATE`.
+//!    a trace parses exactly when every rate is within `0..=MAX_RATE`;
+//! 6. `RequestTrace::parse` **never panics**: random bytes, every
+//!    truncation and single-byte flips of a valid trace each yield `Ok` or
+//!    `Err`, and whatever parses renders back to itself.
 
 use kyoto_cluster::cluster::{Cluster, ClusterConfig};
 use kyoto_cluster::snapshot::CellId;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_service::admission::{AdmissionConfig, AdmissionPolicy};
-use kyoto_service::request::{RequestTrace, RequestTraceConfig, ServiceRequest, MAX_RATE};
+use kyoto_service::request::{
+    RequestTrace, RequestTraceConfig, ServiceRequest, MAX_EPOCHS, MAX_RATE,
+};
 use kyoto_service::service::{FleetService, ServiceConfig};
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
@@ -365,5 +370,61 @@ proptest! {
                 prop_assert!(trace.requests_for_epoch(epoch).len() <= bound);
             }
         }
+    }
+}
+
+/// A valid trace file touching every directive and scripted-entry form.
+fn sample_trace_text() -> String {
+    RequestTrace::new(
+        RequestTraceConfig::new(0x5eed, MAX_EPOCHS)
+            .with_place_rate(1.5)
+            .with_depart_rate(0.25)
+            .with_query_rate(MAX_RATE)
+            .with_scripted(0, ServiceRequest::PlaceVm)
+            .with_scripted(1, ServiceRequest::DepartVm { pick: u64::MAX })
+            .with_scripted(2, ServiceRequest::DrainCell(CellId(3)))
+            .with_scripted(3, ServiceRequest::JoinCell(CellId(3)))
+            .with_scripted(4, ServiceRequest::QueryTelemetry),
+    )
+    .render()
+}
+
+/// Parses `text`; whatever parses must render back to the same trace.
+fn parse_never_panics(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(trace) = RequestTrace::parse(text) {
+        prop_assert_eq!(RequestTrace::parse(&trace.render()), Ok(trace));
+    }
+    Ok(())
+}
+
+#[test]
+fn every_truncation_of_a_valid_trace_parses_or_errs() {
+    let text = sample_trace_text();
+    for cut in 0..=text.len() {
+        parse_never_panics(&text[..cut]).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Claim 6, on garbage: random bytes read as lossy UTF-8, bare and
+    /// behind a valid version line.
+    #[test]
+    fn arbitrary_bytes_parse_or_err(bytes in prop::collection::vec(0u16..256, 0..4096)) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        parse_never_panics(&String::from_utf8_lossy(&bytes))?;
+        let mut versioned = b"version 1\n".to_vec();
+        versioned.extend(&bytes);
+        parse_never_panics(&String::from_utf8_lossy(&versioned))?;
+    }
+
+    /// Claim 6, near valid input: one byte of a valid trace replaced.
+    #[test]
+    fn byte_flips_of_a_valid_trace_parse_or_err(at in 0usize..1 << 16, byte in 0u16..256) {
+        let mut flipped = sample_trace_text().into_bytes();
+        let at = at % flipped.len();
+        flipped[at] = byte as u8;
+        parse_never_panics(&String::from_utf8_lossy(&flipped))?;
     }
 }

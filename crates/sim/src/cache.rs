@@ -8,7 +8,6 @@
 //! which owner (VM) inserted it so that pollution can be attributed.
 
 use crate::error::SimError;
-use crate::replacement::{InsertPosition, ReplacementPolicy, ReplacementState};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of the entity (typically a VM) that owns a cache line.
@@ -26,8 +25,6 @@ pub struct CacheConfig {
     pub ways: u32,
     /// Cache line size in bytes.
     pub line_size: u32,
-    /// Replacement policy.
-    pub policy: ReplacementPolicy,
 }
 
 impl CacheConfig {
@@ -37,14 +34,7 @@ impl CacheConfig {
             size_bytes,
             ways,
             line_size,
-            policy: ReplacementPolicy::Lru,
         }
-    }
-
-    /// Returns the same geometry with a different replacement policy.
-    pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Number of sets implied by the geometry.
@@ -93,7 +83,6 @@ impl CacheConfig {
             size_bytes: sets * min_size,
             ways: self.ways,
             line_size: self.line_size,
-            policy: self.policy,
         }
     }
 }
@@ -167,9 +156,9 @@ fn owner_of(key: LineKey) -> OwnerId {
 ///
 /// Each set's ways are stored *physically in recency order*: way 0 is the
 /// MRU line, valid lines precede invalid ones, and the last valid way is the
-/// LRU line. A hit therefore promotes by one short `copy_within`, the scan
-/// stops at the first invalid way, and eviction needs no timestamp search —
-/// the LRU victim is simply the last way.
+/// LRU line. A hit therefore promotes by sliding the more-recent ways down
+/// one, the scan stops at the first invalid way, and eviction needs no
+/// timestamp search — the LRU victim is simply the last way.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -182,7 +171,6 @@ pub struct Cache {
     set_mask: u64,
     set_shift: u32,
     lines: Vec<LineKey>,
-    replacement: ReplacementState,
     stats: CacheStats,
     // Per-owner counters indexed by owner id (owner ids are small: VM ids).
     // Pre-sized at construction / via `register_owner` so the access path
@@ -223,20 +211,10 @@ impl Cache {
     ///
     /// Returns [`SimError::InvalidCacheConfig`] if the geometry is invalid.
     pub fn new(config: CacheConfig) -> Result<Self, SimError> {
-        Self::with_seed(config, 0x6b796f746f)
-    }
-
-    /// Builds a cache with an explicit seed for the replacement-policy RNG.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidCacheConfig`] if the geometry is invalid.
-    pub fn with_seed(config: CacheConfig, seed: u64) -> Result<Self, SimError> {
         let num_sets = config.num_sets()?;
         let total_lines = (num_sets * u64::from(config.ways)) as usize;
         let pow2_geometry = config.line_size.is_power_of_two() && num_sets.is_power_of_two();
         Ok(Cache {
-            replacement: ReplacementState::new(config.policy, seed),
             pow2_geometry,
             line_shift: config.line_size.trailing_zeros(),
             set_mask: num_sets - 1,
@@ -324,7 +302,8 @@ impl Cache {
         }
     }
 
-    /// Performs a lookup, filling the line on a miss.
+    /// Performs a lookup, filling the line on a miss and evicting the set's
+    /// least-recently-used line when the set is full.
     ///
     /// Returns whether the access hit and, on a miss that displaced a valid
     /// line, the owner of the evicted line.
@@ -339,123 +318,48 @@ impl Cache {
         let base = set * ways;
         let probe = key_of(tag, owner);
 
-        // Fast path for plain LRU (the modelled machines' default): scan
-        // and recency update fused into one slide pass. Every visited way
-        // is shifted one position towards LRU while the probe key enters at
-        // MRU, so a hit, a fill into a free way and an eviction of the last
-        // way all fall out of the same loop with one load, one store and
-        // two compares per way.
-        if self.replacement.policy() == ReplacementPolicy::Lru {
-            let mut slide = probe;
-            for slot in &mut self.lines[base..base + ways] {
-                let current = *slot;
-                *slot = slide;
-                if current == probe {
-                    self.stats.hits += 1;
-                    return LookupResult {
-                        hit: true,
-                        evicted_owner: None,
-                    };
-                }
-                if current == 0 {
-                    // Filled a free way.
-                    self.stats.misses += 1;
-                    *counter(&mut self.owner_misses, owner) += 1;
-                    *counter(&mut self.owner_lines, owner) += 1;
-                    return LookupResult {
-                        hit: false,
-                        evicted_owner: None,
-                    };
-                }
-                slide = current;
-            }
-            // Full set: `slide` is the old LRU line, now evicted.
-            self.stats.misses += 1;
-            *counter(&mut self.owner_misses, owner) += 1;
-            let evicted_owner = owner_of(slide);
-            self.stats.evictions += 1;
-            if evicted_owner != owner {
-                self.stats.cross_owner_evictions += 1;
-            }
-            let lines = counter(&mut self.owner_lines, evicted_owner);
-            *lines = lines.saturating_sub(1);
-            *counter(&mut self.owner_lines, owner) += 1;
-            return LookupResult {
-                hit: false,
-                evicted_owner: Some(evicted_owner),
-            };
-        }
-
-        // General path (BIP/DIP/Random): scan in recency order, one
-        // packed-key comparison per way; the first invalid way ends the
-        // valid region, so the scan stops there.
-        let mut way = 0;
-        while way < ways {
-            let key = self.lines[base + way];
-            if key == probe {
-                // Hit: promote to MRU by rotating the more-recent lines
-                // down one way (a manual rotate inlines; `copy_within`
-                // would emit a memmove call dwarfing these few moves).
-                let mut slide = probe;
-                for slot in &mut self.lines[base..=base + way] {
-                    std::mem::swap(slot, &mut slide);
-                }
+        // Scan and recency update fused into one slide pass. Every visited
+        // way is shifted one position towards LRU while the probe key enters
+        // at MRU, so a hit, a fill into a free way and an eviction of the
+        // last way all fall out of the same loop with one load, one store
+        // and two compares per way.
+        let mut slide = probe;
+        for slot in &mut self.lines[base..base + ways] {
+            let current = *slot;
+            *slot = slide;
+            if current == probe {
                 self.stats.hits += 1;
                 return LookupResult {
                     hit: true,
                     evicted_owner: None,
                 };
             }
-            if key == 0 {
-                break;
+            if current == 0 {
+                // Filled a free way.
+                self.stats.misses += 1;
+                *counter(&mut self.owner_misses, owner) += 1;
+                *counter(&mut self.owner_lines, owner) += 1;
+                return LookupResult {
+                    hit: false,
+                    evicted_owner: None,
+                };
             }
-            way += 1;
+            slide = current;
         }
-        // `way` is now the first free way of the set, or `ways` if full.
-
+        // Full set: `slide` is the old LRU line, now evicted.
         self.stats.misses += 1;
         *counter(&mut self.owner_misses, owner) += 1;
-        self.replacement.on_miss(set, self.num_sets as usize);
-
-        let (valid_end, evicted_owner) = if way < ways {
-            // A free way exists: a fill, not an eviction.
-            (way, None)
-        } else {
-            // Full set: the LRU victim is the last way; Random picks any.
-            let victim = self.replacement.pick_victim_prescanned(ways - 1, ways);
-            let evicted_owner = owner_of(self.lines[base + victim]);
-            self.stats.evictions += 1;
-            if evicted_owner != owner {
-                self.stats.cross_owner_evictions += 1;
-            }
-            let lines = counter(&mut self.owner_lines, evicted_owner);
-            *lines = lines.saturating_sub(1);
-            // Close the victim's gap; the set now has `ways - 1` valid
-            // lines and the insert below fills the last one.
-            for way in victim..ways - 1 {
-                self.lines[base + way] = self.lines[base + way + 1];
-            }
-            (ways - 1, Some(evicted_owner))
-        };
-
-        match self
-            .replacement
-            .insert_position(set, self.num_sets as usize)
-        {
-            InsertPosition::Mru => {
-                let mut slide = probe;
-                for slot in &mut self.lines[base..=base + valid_end] {
-                    std::mem::swap(slot, &mut slide);
-                }
-            }
-            // LRU insertion: the line becomes the next victim unless reused.
-            InsertPosition::Lru => self.lines[base + valid_end] = probe,
+        let evicted_owner = owner_of(slide);
+        self.stats.evictions += 1;
+        if evicted_owner != owner {
+            self.stats.cross_owner_evictions += 1;
         }
+        let lines = counter(&mut self.owner_lines, evicted_owner);
+        *lines = lines.saturating_sub(1);
         *counter(&mut self.owner_lines, owner) += 1;
-
         LookupResult {
             hit: false,
-            evicted_owner,
+            evicted_owner: Some(evicted_owner),
         }
     }
 
@@ -660,37 +564,5 @@ mod tests {
         let config = CacheConfig::new(4096, 8, 64);
         let scaled = config.scaled(1_000_000);
         assert!(scaled.num_sets().unwrap() >= 1);
-    }
-
-    #[test]
-    fn bip_protects_against_streaming() {
-        // A small working set is repeatedly reused while a streaming scan
-        // pours through the cache. BIP should keep more of the reused set
-        // resident than LRU.
-        let run = |policy: ReplacementPolicy| -> u64 {
-            let config = CacheConfig::new(16 * 1024, 8, 64).with_policy(policy);
-            let mut cache = Cache::new(config).unwrap();
-            let reused: Vec<u64> = (0..32u64).map(|i| i * 64).collect();
-            let mut stream_addr = 1 << 20;
-            let mut reused_hits = 0;
-            for round in 0..200 {
-                for &addr in &reused {
-                    if cache.access(addr, 1).hit && round > 0 {
-                        reused_hits += 1;
-                    }
-                }
-                for _ in 0..256 {
-                    cache.access(stream_addr, 2);
-                    stream_addr += 64;
-                }
-            }
-            reused_hits
-        };
-        let lru_hits = run(ReplacementPolicy::Lru);
-        let bip_hits = run(ReplacementPolicy::Bip);
-        assert!(
-            bip_hits > lru_hits,
-            "BIP ({bip_hits}) should preserve the reused working set better than LRU ({lru_hits})"
-        );
     }
 }

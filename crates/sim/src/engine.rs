@@ -429,13 +429,12 @@ fn execute_op<M: AccessMem>(
 /// This is bit-identical to the reference path, which advances the
 /// furthest-behind slot one op at a time. Compute ops touch only the slot's
 /// own counters, so where they fall relative to other slots' ops is
-/// unobservable. Memory ops — the only ops that touch cache,
-/// replacement-policy or shadow state — still execute in increasing
-/// `(cycle, slot index)` order, the reference order: every other lane's key
-/// in the heap is a lower bound on where its next memory op starts, so a
-/// memory op whose key is below the heap minimum precedes them all. The
-/// lanes are in ascending slot order, so the lane index breaks ties as the
-/// slot index does.
+/// unobservable. Memory ops — the only ops that touch cache or shadow
+/// state — still execute in increasing `(cycle, slot index)` order, the
+/// reference order: every other lane's key in the heap is a lower bound on
+/// where its next memory op starts, so a memory op whose key is below the
+/// heap minimum precedes them all. The lanes are in ascending slot order,
+/// so the lane index breaks ties as the slot index does.
 fn run_epoch_interleaving<M: AccessMem>(
     machine: &mut M,
     shadow: &mut Option<ShadowAttribution>,
@@ -646,13 +645,12 @@ impl SimEngine {
     /// (ties broken by slot index) runs until its next memory op would
     /// start after another slot's current position, retiring each run of
     /// compute ops in one pass. Compute ops touch only the slot's own
-    /// counters, and memory ops — the only ops that touch cache,
-    /// replacement-policy or shadow state — execute in increasing
-    /// `(cycle, slot index)` order, as when advancing one op at a time like
-    /// [`SimEngine::run_slots_reference`]. Every cache state, counter and
-    /// pollution attribution is therefore bit-identical to the reference,
-    /// which property tests assert; only the bookkeeping cost per op
-    /// differs.
+    /// counters, and memory ops — the only ops that touch cache or shadow
+    /// state — execute in increasing `(cycle, slot index)` order, as when
+    /// advancing one op at a time like [`SimEngine::run_slots_reference`].
+    /// Every cache state, counter and pollution attribution is therefore
+    /// bit-identical to the reference, which property tests assert; only
+    /// the bookkeeping cost per op differs.
     ///
     /// Sockets share no cache state, so the batch is split into socket
     /// components (see [`SimEngine::run_slots_parallel`]) that run one after

@@ -89,16 +89,11 @@ impl CoreCaches {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidCacheConfig`] if any geometry is invalid.
-    pub fn new(
-        l1d: CacheConfig,
-        l1i: CacheConfig,
-        l2: CacheConfig,
-        seed: u64,
-    ) -> Result<Self, SimError> {
+    pub fn new(l1d: CacheConfig, l1i: CacheConfig, l2: CacheConfig) -> Result<Self, SimError> {
         Ok(CoreCaches {
-            l1d: Cache::with_seed(l1d, seed ^ 0x11d)?,
-            l1i: Cache::with_seed(l1i, seed ^ 0x111)?,
-            l2: Cache::with_seed(l2, seed ^ 0x222)?,
+            l1d: Cache::new(l1d)?,
+            l1i: Cache::new(l1i)?,
+            l2: Cache::new(l2)?,
         })
     }
 
@@ -184,7 +179,7 @@ mod tests {
         let l2 = CacheConfig::new(4096, 4, 64);
         let llc = CacheConfig::new(16 * 1024, 8, 64);
         (
-            CoreCaches::new(l1.clone(), l1, l2, 1).unwrap(),
+            CoreCaches::new(l1.clone(), l1, l2).unwrap(),
             Cache::new(llc).unwrap(),
         )
     }
@@ -244,7 +239,7 @@ mod tests {
         let l1 = CacheConfig::new(128, 2, 64); // 1 set, 2 ways
         let l2 = CacheConfig::new(256, 2, 64); // 2 sets
         let llc_cfg = CacheConfig::new(256, 2, 64); // 2 sets, 2 ways: tiny LLC
-        let mut core = CoreCaches::new(l1.clone(), l1, l2, 1).unwrap();
+        let mut core = CoreCaches::new(l1.clone(), l1, l2).unwrap();
         let mut llc = Cache::new(llc_cfg).unwrap();
         // Owner 1 fills both ways of LLC set 0 (stride 2*64=128 maps to set 0).
         core.walk(&mut llc, 0, AccessKind::Load, 1);

@@ -8,8 +8,8 @@
 //! a pure-Rust library, so this crate supplies the closest synthetic
 //! equivalent:
 //!
-//! * [`cache`] — set-associative caches with pluggable replacement policies
-//!   and per-owner occupancy accounting.
+//! * [`cache`] — set-associative LRU caches with per-owner occupancy
+//!   accounting.
 //! * [`hierarchy`] — the private L1D/L1I/L2 + shared LLC cache hierarchy of
 //!   the paper's testbed (Table 1).
 //! * [`topology`] — machine, socket, core and NUMA-node model, including the
@@ -59,7 +59,6 @@ pub mod engine;
 pub mod error;
 pub mod hierarchy;
 pub mod pmc;
-pub mod replacement;
 pub mod shadow;
 pub mod topology;
 pub mod workload;
@@ -69,6 +68,5 @@ pub use engine::{ExecSlot, QuantumReport, SimEngine};
 pub use error::SimError;
 pub use hierarchy::{AccessKind, AccessOutcome, MemLevel};
 pub use pmc::{PmcSet, VirtualPmu};
-pub use replacement::ReplacementPolicy;
 pub use topology::{CoreId, Machine, MachineConfig, NumaNode, SocketId};
 pub use workload::{Op, Workload};

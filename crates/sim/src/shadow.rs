@@ -46,8 +46,7 @@ impl ShadowAttribution {
     /// caches) of `owner` at `addr`.
     pub fn observe(&mut self, owner: OwnerId, addr: u64) {
         let cache = self.shadows.entry(owner).or_insert_with(|| {
-            let mut shadow = Cache::with_seed(self.llc_config.clone(), u64::from(owner))
-                .expect("validated geometry");
+            let mut shadow = Cache::new(self.llc_config.clone()).expect("validated geometry");
             shadow.register_owner(owner);
             shadow
         });

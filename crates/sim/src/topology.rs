@@ -193,12 +193,6 @@ impl MachineConfig {
         }
     }
 
-    /// Replaces the LLC replacement policy (LRU by default).
-    pub fn with_llc_policy(mut self, policy: crate::replacement::ReplacementPolicy) -> Self {
-        self.llc = self.llc.with_policy(policy);
-        self
-    }
-
     /// Total number of cores.
     pub fn num_cores(&self) -> usize {
         self.sockets * self.cores_per_socket
@@ -351,19 +345,17 @@ impl Machine {
         config.validate()?;
         let mut sockets = Vec::with_capacity(config.sockets);
         for s in 0..config.sockets {
-            let llc_seed = 0x11c + s as u64;
             let mut cores = Vec::with_capacity(config.cores_per_socket);
-            for c in 0..config.cores_per_socket {
+            for _ in 0..config.cores_per_socket {
                 cores.push(CoreCaches::new(
                     config.l1d.clone(),
                     config.l1i.clone(),
                     config.l2.clone(),
-                    (s * 31 + c) as u64,
                 )?);
             }
             sockets.push(Socket {
                 id: SocketId(s),
-                llc: Cache::with_seed(config.llc.clone(), llc_seed)?,
+                llc: Cache::new(config.llc.clone())?,
                 cores,
             });
         }

@@ -10,20 +10,19 @@
 //! must be *bit-identical*: same `QuantumReport`s, same cumulative slot
 //! PMCs, same per-socket LLC `CacheStats` and per-owner occupancy/miss
 //! attribution, same shadow (solo) misses, same logical clock — across
-//! replacement policies, budgets, slot counts, machines of 1/2/4/8 sockets
-//! (placements spreading slots across every socket, and one in which an
-//! owner has slots on two sockets, so shadow attribution couples them into
-//! one component), and the paper's execution modes (parallel co-scheduling
-//! and alternative time-sharing over successive calls, which exercises the
-//! carried op buffers). The properties draw from two op streams: mostly
-//! memory ops, and long compute runs between memory bursts. The second
-//! covers the batched body's one-pass retirement of compute runs: runs that
-//! cross the 64-op fetch chunk and runs that end at the budget.
+//! budgets, slot counts, machines of 1/2/4/8 sockets (placements spreading
+//! slots across every socket, and one in which an owner has slots on two
+//! sockets, so shadow attribution couples them into one component), and the
+//! paper's execution modes (parallel co-scheduling and alternative
+//! time-sharing over successive calls, which exercises the carried op
+//! buffers). The properties draw from two op streams: mostly memory ops, and
+//! long compute runs between memory bursts. The second covers the batched
+//! body's one-pass retirement of compute runs: runs that cross the 64-op
+//! fetch chunk and runs that end at the budget.
 
 use kyoto_sim::cache::OwnerId;
 use kyoto_sim::engine::{ExecSlot, SimEngine};
 use kyoto_sim::pmc::PmcSet;
-use kyoto_sim::replacement::ReplacementPolicy;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
 use kyoto_sim::workload::{Op, Workload};
 use kyoto_sim::{CacheStats, QuantumReport};
@@ -191,7 +190,6 @@ enum Mode {
 /// Everything a run depends on except the engine path.
 #[derive(Debug, Clone)]
 struct Scenario {
-    policy: ReplacementPolicy,
     mode: Mode,
     seed: u64,
     workload_count: usize,
@@ -260,7 +258,6 @@ fn participants(scenario: &Scenario, call: usize) -> Vec<(usize, SlotSpec)> {
 
 fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     let Scenario {
-        policy,
         seed,
         workload_count,
         shadow,
@@ -271,7 +268,7 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     // `cloud_machine(1)` and `cloud_machine(2)` are exactly the paper's
     // single-socket and two-socket machines; larger counts replicate the
     // same per-socket geometry.
-    let config = MachineConfig::scaled_cloud_machine(sockets, 256).with_llc_policy(policy);
+    let config = MachineConfig::scaled_cloud_machine(sockets, 256);
     let llc_lines = config.llc.num_lines();
     let num_sockets = config.sockets;
     let mut engine = SimEngine::new(Machine::new(config));
@@ -359,7 +356,6 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
 
 /// A scenario of the mixed stream in which every owner has one workload.
 fn mixed(
-    policy: ReplacementPolicy,
     mode: Mode,
     seed: u64,
     workload_count: usize,
@@ -368,7 +364,6 @@ fn mixed(
     sockets: usize,
 ) -> Scenario {
     Scenario {
-        policy,
         mode,
         seed,
         workload_count,
@@ -378,15 +373,6 @@ fn mixed(
         stream: Stream::Mixed,
         shared_owner: false,
     }
-}
-
-fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::Bip),
-        Just(ReplacementPolicy::Dip),
-        Just(ReplacementPolicy::Random),
-    ]
 }
 
 fn arb_mode() -> impl Strategy<Value = Mode> {
@@ -410,7 +396,6 @@ proptest! {
     /// two-socket machine, for both streams.
     #[test]
     fn batched_path_is_bit_identical_to_reference(
-        policy in arb_policy(),
         mode in arb_mode(),
         seed in 0u64..1_000_000,
         workload_count in 2usize..4,
@@ -421,7 +406,7 @@ proptest! {
     ) {
         let scenario = Scenario {
             stream,
-            ..mixed(policy, mode, seed, workload_count, budgets, shadow, sockets)
+            ..mixed(mode, seed, workload_count, budgets, shadow, sockets)
         };
         let batched = run_path(EnginePath::Batched, &scenario);
         let reference = run_path(EnginePath::Reference, &scenario);
@@ -435,7 +420,6 @@ proptest! {
     /// populated socket and runs inline. Both streams.
     #[test]
     fn parallel_path_is_bit_identical_to_reference(
-        policy in arb_policy(),
         mode in arb_mode(),
         seed in 0u64..1_000_000,
         workload_count in 2usize..4,
@@ -445,7 +429,7 @@ proptest! {
     ) {
         let scenario = Scenario {
             stream,
-            ..mixed(policy, mode, seed, workload_count, budgets, shadow, 2)
+            ..mixed(mode, seed, workload_count, budgets, shadow, 2)
         };
         let parallel = run_path(EnginePath::Parallel, &scenario);
         let reference = run_path(EnginePath::Reference, &scenario);
@@ -459,7 +443,6 @@ proptest! {
     /// guarantee behind the cloudscale scenario.
     #[test]
     fn parallel_path_is_bit_identical_at_4_and_8_sockets(
-        policy in arb_policy(),
         mode in arb_mode(),
         seed in 0u64..1_000_000,
         workload_count in 4usize..10,
@@ -470,7 +453,7 @@ proptest! {
     ) {
         let scenario = Scenario {
             stream,
-            ..mixed(policy, mode, seed, workload_count, budgets, shadow, sockets)
+            ..mixed(mode, seed, workload_count, budgets, shadow, sockets)
         };
         let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(&run_path(EnginePath::Parallel, &scenario), &reference);
@@ -487,7 +470,6 @@ proptest! {
     /// accesses across the two sockets decides its shadow misses.
     #[test]
     fn an_owner_spanning_sockets_is_bit_identical_to_reference(
-        policy in arb_policy(),
         seed in 0u64..1_000_000,
         workload_count in 2usize..7,
         budgets in prop::collection::vec(20_000u64..150_000, 1..4),
@@ -498,7 +480,7 @@ proptest! {
         let scenario = Scenario {
             stream,
             shared_owner: true,
-            ..mixed(policy, Mode::Parallel, seed, workload_count, budgets, shadow, sockets)
+            ..mixed(Mode::Parallel, seed, workload_count, budgets, shadow, sockets)
         };
         let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(&run_path(EnginePath::Parallel, &scenario), &reference);
@@ -509,14 +491,13 @@ proptest! {
     /// loop) also matches the reference exactly.
     #[test]
     fn single_slot_epochs_match_reference(
-        policy in arb_policy(),
         seed in 0u64..1_000_000,
         budgets in prop::collection::vec(10_000u64..200_000, 1..4),
         stream in arb_stream(),
     ) {
         let scenario = Scenario {
             stream,
-            ..mixed(policy, Mode::Parallel, seed, 1, budgets, false, 1)
+            ..mixed(Mode::Parallel, seed, 1, budgets, false, 1)
         };
         let batched = run_path(EnginePath::Batched, &scenario);
         let reference = run_path(EnginePath::Reference, &scenario);
@@ -532,15 +513,7 @@ fn carried_op_buffers_preserve_the_stream_across_calls() {
     let many_small_budgets: Vec<u64> = (0..12).map(|i| 700 + i * 137).collect();
     let one_big_budget = vec![many_small_budgets.iter().sum::<u64>()];
     let run = |budgets: Vec<u64>| {
-        let scenario = mixed(
-            ReplacementPolicy::Lru,
-            Mode::Parallel,
-            99,
-            2,
-            budgets,
-            false,
-            1,
-        );
+        let scenario = mixed(Mode::Parallel, 99, 2, budgets, false, 1);
         run_path(EnginePath::Batched, &scenario)
     };
     let split = run(many_small_budgets);

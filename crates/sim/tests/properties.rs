@@ -3,18 +3,8 @@
 use kyoto_sim::cache::{Cache, CacheConfig};
 use kyoto_sim::hierarchy::AccessKind;
 use kyoto_sim::pmc::PmcSet;
-use kyoto_sim::replacement::ReplacementPolicy;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, NumaNode, SocketId, SocketView};
 use proptest::prelude::*;
-
-fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::Bip),
-        Just(ReplacementPolicy::Dip),
-        Just(ReplacementPolicy::Random),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -24,10 +14,9 @@ proptest! {
     /// accounting closes.
     #[test]
     fn cache_accounting_closes(
-        policy in arb_policy(),
         accesses in prop::collection::vec((0u64..4096, 1u16..4), 1..500),
     ) {
-        let config = CacheConfig::new(8 * 1024, 4, 64).with_policy(policy);
+        let config = CacheConfig::new(8 * 1024, 4, 64);
         let mut cache = Cache::new(config.clone()).unwrap();
         for &(line, owner) in &accesses {
             cache.access(line * 64, owner);
@@ -45,11 +34,9 @@ proptest! {
     /// A line that was just accessed is always resident immediately after.
     #[test]
     fn most_recent_access_is_resident(
-        policy in arb_policy(),
         accesses in prop::collection::vec((0u64..2048, 1u16..3), 1..300),
     ) {
-        let config = CacheConfig::new(4 * 1024, 4, 64).with_policy(policy);
-        let mut cache = Cache::new(config).unwrap();
+        let mut cache = Cache::new(CacheConfig::new(4 * 1024, 4, 64)).unwrap();
         for &(line, owner) in &accesses {
             cache.access(line * 64, owner);
             prop_assert!(cache.probe(line * 64, owner));
