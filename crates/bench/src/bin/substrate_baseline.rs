@@ -2,11 +2,12 @@
 //! gates a written one.
 //!
 //! This binary is the repository's one measurement harness. It times the
-//! layers underneath every scenario (`Cache::access`, workload op
-//! generation, the `SimEngine::run_slots` paths, the credit scheduler's
-//! pick, whole-fleet cluster epochs) with one best-of helper and records
-//! their throughput, plus the speedups between paths, through
-//! [`kyoto_bench::ledger`] (see `DESIGN.md` for how to read the file).
+//! layers underneath every scenario (`Cache::access`, the shadow replay of
+//! `ShadowAttribution::observe`, workload op generation, the
+//! `SimEngine::run_slots` paths, the credit scheduler's pick, whole-fleet
+//! cluster epochs) with one best-of helper and records their throughput,
+//! plus the speedups between paths, through [`kyoto_bench::ledger`] (see
+//! `DESIGN.md` for how to read the file).
 //!
 //! ```text
 //! cargo run --release -p kyoto-bench --bin substrate_baseline
@@ -40,6 +41,7 @@ use kyoto_hypervisor::vm::{VcpuId, VmConfig, VmId};
 use kyoto_sim::cache::{Cache, CacheConfig};
 use kyoto_sim::engine::{ExecSlot, SimEngine};
 use kyoto_sim::pmc::PmcSet;
+use kyoto_sim::shadow::ShadowAttribution;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
 use kyoto_sim::workload::{Op, Workload};
 use kyoto_workloads::interactive::Interactive;
@@ -368,6 +370,13 @@ fn measure(config: &ExperimentConfig) -> Ledger {
     for (stream, rate) in zip(streams, lookups) {
         ledger.row(format!("cache_access_{stream}"), "Mops/s", rate);
     }
+    // The shadow replay behind simulator-based attribution: a miss-heavy
+    // stream of fresh lines from eight owners, each into its own shadow LLC.
+    let shadow = ShadowAttribution::new(geometry.clone()).expect("valid cache geometry");
+    let observe = |shadow: &mut ShadowAttribution, addr, owner| shadow.observe(owner, addr);
+    let eight_owners = |i: u64| (i * 64, (i % 8) as u16 + 1);
+    let rate = lookup_rate(shadow, observe, eight_owners);
+    ledger.row("shadow_observe", "Mops/s", rate);
     ledger.row("workload_fill_ops_lbm", "Mops/s", fill_rate(scale));
 
     // The engine on the single-socket machine: batched vs per-op reference

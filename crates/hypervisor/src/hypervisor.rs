@@ -47,6 +47,9 @@ pub enum HypervisorError {
         /// The vCPU whose workload refused to clone.
         vcpu: VcpuId,
     },
+    /// Every VM id (1 to 65535) has been handed out once; ids are never
+    /// reused, so this hypervisor admits no further VM.
+    VmIdsExhausted,
 }
 
 impl fmt::Display for HypervisorError {
@@ -62,6 +65,9 @@ impl fmt::Display for HypervisorError {
             HypervisorError::UnknownVm { vm } => write!(f, "unknown VM {vm}"),
             HypervisorError::UncloneableWorkload { vcpu } => {
                 write!(f, "workload of vCPU {vcpu:?} does not support cloning")
+            }
+            HypervisorError::VmIdsExhausted => {
+                write!(f, "all {} VM ids have been handed out", u16::MAX)
             }
         }
     }
@@ -243,7 +249,9 @@ pub struct Hypervisor<S: Scheduler> {
     scheduler: S,
     config: HypervisorConfig,
     vms: Vec<VmRuntime>,
-    next_vm_id: u16,
+    /// The id the next VM gets. Wider than [`VmId`] so that handing out the
+    /// last id (65535) cannot wrap to the reserved owner 0.
+    next_vm_id: u32,
     tick: u64,
     pmu: VirtualPmu,
     history: Vec<TickSample>,
@@ -358,8 +366,10 @@ impl<S: Scheduler> Hypervisor<S> {
     /// # Errors
     ///
     /// Returns [`HypervisorError::WorkloadCountMismatch`] when the number of
-    /// workloads differs from `config.vcpus`, and
-    /// [`HypervisorError::InvalidPinning`] when a pinned core does not exist.
+    /// workloads differs from `config.vcpus`,
+    /// [`HypervisorError::InvalidPinning`] when a pinned core does not exist,
+    /// and [`HypervisorError::VmIdsExhausted`] once ids 1 to 65535 have all
+    /// been handed out (each id is issued at most once).
     pub fn add_vm(
         &mut self,
         config: VmConfig,
@@ -377,7 +387,8 @@ impl<S: Scheduler> Hypervisor<S> {
                 return Err(HypervisorError::InvalidPinning { core: core.0 });
             }
         }
-        let vm_id = VmId(self.next_vm_id);
+        let vm_id =
+            VmId(u16::try_from(self.next_vm_id).map_err(|_| HypervisorError::VmIdsExhausted)?);
         self.next_vm_id += 1;
         // Pre-size per-owner cache counters so the simulation hot path never
         // grows them while this VM runs.
@@ -953,6 +964,28 @@ mod tests {
         assert_eq!(hv.vm_by_name("gcc"), Some(a));
         assert_eq!(hv.vm_by_name("nope"), None);
         assert_eq!(hv.vm_ids(), vec![a, b]);
+    }
+
+    #[test]
+    fn vm_ids_are_issued_once_each_and_then_exhausted() {
+        // One-set caches keep the 65534 flushes cheap.
+        let mut hv = xen_hypervisor(Machine::new(MachineConfig::scaled_paper_machine(1 << 16)));
+        let vm = |name: &str| (VmConfig::new(name), Box::new(ComputeOnly::new(1)));
+        let (config, workload) = vm("live");
+        let live = hv.add_vm_with(config, workload).unwrap();
+        assert_eq!(live, VmId(1));
+        for id in 2..=u16::MAX {
+            let (config, workload) = vm("churn");
+            let churn = hv.add_vm_with(config, workload).unwrap();
+            assert_eq!(churn, VmId(id));
+            hv.take_vm(churn).unwrap();
+        }
+        let (config, workload) = vm("one too many");
+        assert_eq!(
+            hv.add_vm_with(config, workload),
+            Err(HypervisorError::VmIdsExhausted)
+        );
+        assert_eq!(hv.vm_ids(), vec![live]);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a VM. The numeric value doubles as the cache-line owner tag
-/// used by `kyoto-sim`, so it must fit in 16 bits.
+/// used by `kyoto-sim`, so it must fit in 16 bits. A hypervisor hands out
+/// ids 1 to 65535, each once; 0 is the reserved "no VM" owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VmId(pub u16);
 

@@ -153,6 +153,10 @@ impl RequestTraceConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestTrace {
     config: RequestTraceConfig,
+    /// The scripted entries sorted by epoch, same-epoch entries in list
+    /// order: built once so [`RequestTrace::requests_for_epoch`] finds an
+    /// epoch's entries by binary search.
+    by_epoch: Vec<(u64, ServiceRequest)>,
 }
 
 /// Why a trace file failed to parse. The offending line number (1-based)
@@ -209,7 +213,10 @@ impl RequestTrace {
                 rate.clamp(0.0, MAX_RATE)
             };
         }
-        RequestTrace { config }
+        let mut by_epoch = config.scripted.clone();
+        // Stable, so same-epoch entries keep their list order.
+        by_epoch.sort_by_key(|&(epoch, _)| epoch);
+        RequestTrace { config, by_epoch }
     }
 
     /// The trace configuration.
@@ -224,12 +231,11 @@ impl RequestTrace {
     /// other epochs were queried (SplitMix64 per-epoch mixing, identical
     /// to [`EventSchedule`](kyoto_cluster::events::EventSchedule)).
     pub fn requests_for_epoch(&self, epoch: u64) -> Vec<ServiceRequest> {
-        let mut requests: Vec<ServiceRequest> = self
-            .config
-            .scripted
+        let first = self.by_epoch.partition_point(|&(e, _)| e < epoch);
+        let mut requests: Vec<ServiceRequest> = self.by_epoch[first..]
             .iter()
-            .filter(|(e, _)| *e == epoch)
-            .map(|(_, request)| *request)
+            .take_while(|&&(e, _)| e == epoch)
+            .map(|&(_, request)| request)
             .collect();
         let mut rng =
             SmallRng::seed_from_u64(self.config.seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -425,6 +431,46 @@ mod tests {
             trace.requests_for_epoch(2)[0],
             ServiceRequest::DepartVm { pick: 7 }
         );
+    }
+
+    #[test]
+    fn out_of_order_entries_replay_per_epoch_in_list_order() {
+        let trace = RequestTrace::new(
+            RequestTraceConfig::new(9, 8)
+                .with_scripted(4, ServiceRequest::DrainCell(CellId(2)))
+                .with_scripted(1, ServiceRequest::PlaceVm)
+                .with_scripted(4, ServiceRequest::DepartVm { pick: 3 })
+                .with_scripted(0, ServiceRequest::QueryTelemetry)
+                .with_scripted(4, ServiceRequest::JoinCell(CellId(2)))
+                .with_scripted(1, ServiceRequest::DepartVm { pick: 1 }),
+        );
+        let scripted: Vec<Vec<ServiceRequest>> =
+            (0..8).map(|e| trace.requests_for_epoch(e)).collect();
+        assert_eq!(
+            scripted,
+            vec![
+                vec![ServiceRequest::QueryTelemetry],
+                vec![
+                    ServiceRequest::PlaceVm,
+                    ServiceRequest::DepartVm { pick: 1 }
+                ],
+                vec![],
+                vec![],
+                vec![
+                    ServiceRequest::DrainCell(CellId(2)),
+                    ServiceRequest::DepartVm { pick: 3 },
+                    ServiceRequest::JoinCell(CellId(2)),
+                ],
+                vec![],
+                vec![],
+                vec![],
+            ]
+        );
+        // `render` keeps list order, and parsing it back is the identity.
+        let text = trace.render();
+        assert!(text.ends_with("at 4 join 2\nat 1 depart 1\n"));
+        assert_eq!(RequestTrace::parse(&text).unwrap(), trace);
+        assert_eq!(RequestTrace::parse(&text).unwrap().render(), text);
     }
 
     #[test]

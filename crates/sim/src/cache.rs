@@ -16,6 +16,19 @@ use serde::{Deserialize, Serialize};
 /// use the VM's numeric id.
 pub type OwnerId = u16;
 
+/// Width of a simulated (guest-physical) byte address, in bits: the x86-64
+/// architectural physical-address limit.
+///
+/// Every address handed to a cache must be below `2^ADDR_BITS`. Together
+/// with [`CacheConfig::num_sets`]'s minimum of 32 bytes per way, this
+/// bounds every tag to 47 bits, so a line's packed identity (tag, owner and
+/// valid bit) fits one `u64` exactly and two lines never alias.
+pub const ADDR_BITS: u32 = 52;
+
+/// Tag bits left in a `u64` line key beside the 16-bit owner and the valid
+/// bit.
+const TAG_BITS: u32 = 64 - 17;
+
 /// Geometry of a cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CacheConfig {
@@ -42,7 +55,9 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidCacheConfig`] when the geometry is
-    /// impossible (zero sizes, capacity not divisible by `ways * line_size`).
+    /// impossible (zero sizes, capacity not divisible by `ways * line_size`)
+    /// or when one way spans fewer than 32 bytes: below that, tags of
+    /// [`ADDR_BITS`]-bit addresses no longer fit a line key.
     pub fn num_sets(&self) -> Result<u64, SimError> {
         if self.size_bytes == 0 || self.ways == 0 || self.line_size == 0 {
             return Err(SimError::InvalidCacheConfig {
@@ -58,6 +73,16 @@ impl CacheConfig {
                 reason: format!(
                     "size {} is not a multiple of ways*line_size = {}",
                     self.size_bytes, way_bytes
+                ),
+            });
+        }
+        let bytes_per_way = self.size_bytes / u64::from(self.ways);
+        if bytes_per_way < 1 << (ADDR_BITS - TAG_BITS) {
+            return Err(SimError::InvalidCacheConfig {
+                reason: format!(
+                    "one way spans {bytes_per_way} bytes, below the {} bytes that keep \
+                     {ADDR_BITS}-bit addresses exact",
+                    1u64 << (ADDR_BITS - TAG_BITS)
                 ),
             });
         }
@@ -134,12 +159,13 @@ pub struct LookupResult {
 
 /// Packed line identity: `(tag << 17) | (owner << 1) | valid`. A lookup
 /// compares one key per way instead of three fields, which keeps the scan
-/// branch-light; `0` is the invalid line (valid bit clear).
-type LineKey = u128;
+/// branch-light; `0` is the invalid line (valid bit clear). Exact because
+/// every tag fits [`TAG_BITS`] (see [`ADDR_BITS`]).
+type LineKey = u64;
 
 #[inline]
 fn key_of(tag: u64, owner: OwnerId) -> LineKey {
-    (u128::from(tag) << 17) | (u128::from(owner) << 1) | 1
+    (tag << 17) | (u64::from(owner) << 1) | 1
 }
 
 #[inline]
@@ -293,6 +319,10 @@ impl Cache {
     /// Splits an address into its `(set, tag)` pair.
     #[inline]
     fn split(&self, addr: u64) -> (u64, u64) {
+        debug_assert!(
+            addr >> ADDR_BITS == 0,
+            "address {addr:#x} is wider than {ADDR_BITS} bits"
+        );
         if self.pow2_geometry {
             let line = addr >> self.line_shift;
             (line & self.set_mask, line >> self.set_shift)
@@ -307,6 +337,11 @@ impl Cache {
     ///
     /// Returns whether the access hit and, on a miss that displaced a valid
     /// line, the owner of the evicted line.
+    ///
+    /// `addr` must be below `2^`[`ADDR_BITS`]: a wider address could alias
+    /// another line's key. The engine and [`crate::topology::Machine::access`]
+    /// reject wider addresses before they reach a cache; debug builds also
+    /// assert it here.
     #[inline]
     pub fn access(&mut self, addr: u64, owner: OwnerId) -> LookupResult {
         self.stats.accesses += 1;
@@ -364,7 +399,8 @@ impl Cache {
     }
 
     /// Checks whether `addr` is resident for `owner` without touching
-    /// recency or statistics.
+    /// recency or statistics. `addr` must be below `2^`[`ADDR_BITS`], as
+    /// for [`Cache::access`].
     pub fn probe(&self, addr: u64, owner: OwnerId) -> bool {
         let (set, tag) = self.split(addr);
         let set = set as usize;
@@ -431,6 +467,33 @@ mod tests {
         assert!(CacheConfig::new(0, 8, 64).num_sets().is_err());
         assert!(CacheConfig::new(1000, 8, 64).num_sets().is_err());
         assert!(Cache::new(CacheConfig::new(4096, 0, 64)).is_err());
+    }
+
+    #[test]
+    fn ways_narrower_than_32_bytes_are_rejected() {
+        assert!(CacheConfig::new(16, 1, 16).num_sets().is_err());
+        assert!(Cache::new(CacheConfig::new(16, 1, 16)).is_err());
+        assert!(CacheConfig::new(32, 2, 16).num_sets().is_err());
+        assert_eq!(CacheConfig::new(64, 2, 16).num_sets().unwrap(), 2);
+        assert_eq!(CacheConfig::new(32, 1, 32).num_sets().unwrap(), 1);
+    }
+
+    #[test]
+    fn lines_differing_only_in_high_address_bits_stay_distinct() {
+        // One set and two ways, with 64-byte lines and with 32-byte lines
+        // (the narrowest legal way, whose tags use all 47 key bits): each
+        // pair must take two misses and stay resident side by side.
+        for line_size in [64u32, 32] {
+            let line = u64::from(line_size);
+            for pair in [[0, 1 << 51], [(1 << ADDR_BITS) - line, (1 << 51) - line]] {
+                let mut cache = Cache::new(CacheConfig::new(2 * line, 2, line_size)).unwrap();
+                for addr in pair {
+                    assert!(!cache.access(addr, 1).hit, "{addr:#x} ({line}-byte lines)");
+                }
+                assert_eq!(cache.occupancy_of(1), 2);
+                assert!(pair.iter().all(|&addr| cache.probe(addr, 1)));
+            }
+        }
     }
 
     #[test]

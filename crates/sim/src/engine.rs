@@ -28,7 +28,7 @@
 //! thread against the whole machine, `run_slots_parallel` puts two or more
 //! of them on scoped threads, each against its own sockets' views.
 
-use crate::cache::OwnerId;
+use crate::cache::{OwnerId, ADDR_BITS};
 use crate::error::SimError;
 use crate::hierarchy::{AccessKind, AccessOutcome};
 use crate::pmc::PmcSet;
@@ -360,7 +360,9 @@ struct Lane<'s, 'w> {
 
 /// Executes one micro-op for a slot, accumulating its cycle cost, counter
 /// deltas and pollution events directly into `report`: the shared cost
-/// model of every engine path.
+/// model of every engine path. A memory op whose address is wider than
+/// [`ADDR_BITS`] panics ([`address_out_of_range`]) before it touches any
+/// cache.
 #[inline]
 fn execute_op<M: AccessMem>(
     machine: &mut M,
@@ -379,6 +381,9 @@ fn execute_op<M: AccessMem>(
             report.pmc_delta.unhalted_core_cycles += cycles;
         }
         Op::Load { addr } | Op::Store { addr } => {
+            if addr >> ADDR_BITS != 0 {
+                address_out_of_range(addr);
+            }
             let kind = if matches!(op, Op::Store { .. }) {
                 AccessKind::Store
             } else {
@@ -412,6 +417,14 @@ fn execute_op<M: AccessMem>(
             report.pollution_events += u64::from(outcome.polluted_llc);
         }
     }
+}
+
+/// The engine's response to a memory op wider than [`ADDR_BITS`]: such an
+/// address could alias another line in the caches, so no path executes it.
+#[cold]
+#[inline(never)]
+fn address_out_of_range(addr: u64) -> ! {
+    panic!("memory op address {addr:#x} is wider than {ADDR_BITS} bits")
 }
 
 /// The batched/epoch interleaving loop: the batched body runs it once per
@@ -659,7 +672,8 @@ impl SimEngine {
     /// # Panics
     ///
     /// Panics if a slot references a core that does not exist on the machine
-    /// (a programming error in the hypervisor layer).
+    /// (a programming error in the hypervisor layer), or if a workload emits
+    /// a memory op whose address is at or above `2^`[`ADDR_BITS`].
     pub fn run_slots(
         &mut self,
         slots: &mut [ExecSlot<'_>],
@@ -729,7 +743,9 @@ impl SimEngine {
     ///
     /// # Panics
     ///
-    /// Panics if a slot references a core that does not exist on the machine.
+    /// Panics if a slot references a core that does not exist on the
+    /// machine, or if a workload emits a memory op whose address is at or
+    /// above `2^`[`ADDR_BITS`].
     pub fn run_slots_reference(
         &mut self,
         slots: &mut [ExecSlot<'_>],
@@ -813,7 +829,8 @@ impl SimEngine {
     /// # Panics
     ///
     /// Panics if a slot references a core that does not exist on the machine
-    /// (a programming error in the hypervisor layer).
+    /// (a programming error in the hypervisor layer), or if a workload emits
+    /// a memory op whose address is at or above `2^`[`ADDR_BITS`].
     pub fn run_slots_parallel(
         &mut self,
         slots: &mut [ExecSlot<'_>],
@@ -1054,6 +1071,44 @@ mod tests {
         assert_eq!(pmc.llc_misses, 1);
         assert!(pmc.instructions > 100);
         assert!(reports[0].consumed_cycles >= 1_000);
+    }
+
+    /// Runs one slot replaying a load of `addr` (with shadow attribution on,
+    /// so the shadow replay sees the address too) through the batched body
+    /// or the reference.
+    fn run_load(addr: u64, reference: bool) -> QuantumReport {
+        let mut e = engine();
+        e.enable_shadow_attribution().unwrap();
+        let mut wl = FixedSequence::new("wide", vec![Op::Load { addr }]);
+        let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl);
+        let slots = std::slice::from_mut(&mut slot);
+        let mut reports = if reference {
+            e.run_slots_reference(slots, 1_000)
+        } else {
+            e.run_slots(slots, 1_000)
+        };
+        reports.remove(0)
+    }
+
+    #[test]
+    #[should_panic(expected = "is wider than 52 bits")]
+    fn run_slots_rejects_an_address_at_addr_bits() {
+        run_load(1 << ADDR_BITS, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "is wider than 52 bits")]
+    fn run_slots_reference_rejects_an_address_at_addr_bits() {
+        run_load(1 << ADDR_BITS, true);
+    }
+
+    #[test]
+    fn the_widest_legal_address_runs_on_both_paths() {
+        for reference in [false, true] {
+            let report = run_load((1 << ADDR_BITS) - 1, reference);
+            assert_eq!(report.pmc_delta.llc_misses, 1);
+            assert!(report.pmc_delta.instructions > 100);
+        }
     }
 
     #[test]

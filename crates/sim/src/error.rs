@@ -1,5 +1,6 @@
 //! Error types for the simulation substrate.
 
+use crate::cache::ADDR_BITS;
 use std::error::Error;
 use std::fmt;
 
@@ -28,6 +29,11 @@ pub enum SimError {
         /// The offending node index.
         node: usize,
     },
+    /// A memory access named an address at or above `2^`[`ADDR_BITS`].
+    AddressOutOfRange {
+        /// The offending byte address.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -41,6 +47,9 @@ impl fmt::Display for SimError {
             }
             SimError::UnknownCore { core } => write!(f, "unknown core id {core}"),
             SimError::UnknownNumaNode { node } => write!(f, "unknown NUMA node {node}"),
+            SimError::AddressOutOfRange { addr } => {
+                write!(f, "address {addr:#x} is wider than {ADDR_BITS} bits")
+            }
         }
     }
 }

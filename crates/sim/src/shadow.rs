@@ -14,15 +14,17 @@
 
 use crate::cache::{Cache, CacheConfig, OwnerId};
 use crate::error::SimError;
-use std::collections::HashMap;
 
 /// Per-owner solo-LLC replay used by the simulator-based pollution monitor.
 #[derive(Debug, Clone)]
 pub struct ShadowAttribution {
     llc_config: CacheConfig,
-    shadows: HashMap<OwnerId, Cache>,
-    references: HashMap<OwnerId, u64>,
-    misses: HashMap<OwnerId, u64>,
+    /// Each owner's private LLC copy, indexed by owner id; `None` for an
+    /// owner with no shadow state. The cache is touched by its owner alone,
+    /// so its own statistics count the owner's replayed references and solo
+    /// misses. Boxed so an id without state costs one pointer: owner ids
+    /// only grow within a hypervisor.
+    caches: Vec<Option<Box<Cache>>>,
 }
 
 impl ShadowAttribution {
@@ -36,72 +38,53 @@ impl ShadowAttribution {
         llc_config.num_sets()?;
         Ok(ShadowAttribution {
             llc_config,
-            shadows: HashMap::new(),
-            references: HashMap::new(),
-            misses: HashMap::new(),
+            caches: Vec::new(),
         })
+    }
+
+    /// The slot of `owner` in an owner-indexed table, grown to reach it.
+    fn slot(caches: &mut Vec<Option<Box<Cache>>>, owner: OwnerId) -> &mut Option<Box<Cache>> {
+        let idx = usize::from(owner);
+        if idx >= caches.len() {
+            caches.resize_with(idx + 1, || None);
+        }
+        &mut caches[idx]
+    }
+
+    /// Creates the shadow cache of an owner seen for the first time.
+    #[cold]
+    #[inline(never)]
+    fn create(&mut self, owner: OwnerId) -> &mut Cache {
+        let mut cache = Cache::new(self.llc_config.clone()).expect("validated geometry");
+        cache.register_owner(owner);
+        Self::slot(&mut self.caches, owner).insert(Box::new(cache))
     }
 
     /// Replays one LLC-level access (an access that missed the private
     /// caches) of `owner` at `addr`.
+    #[inline]
     pub fn observe(&mut self, owner: OwnerId, addr: u64) {
-        let cache = self.shadows.entry(owner).or_insert_with(|| {
-            let mut shadow = Cache::new(self.llc_config.clone()).expect("validated geometry");
-            shadow.register_owner(owner);
-            shadow
-        });
-        *self.references.entry(owner).or_insert(0) += 1;
-        if !cache.access(addr, owner).hit {
-            *self.misses.entry(owner).or_insert(0) += 1;
-        }
+        let cache = match self.caches.get_mut(usize::from(owner)) {
+            Some(Some(cache)) => &mut **cache,
+            _ => self.create(owner),
+        };
+        cache.access(addr, owner);
     }
 
-    /// Estimated solo LLC misses of `owner` since the last
-    /// [`ShadowAttribution::reset_counters`].
+    /// Estimated solo LLC misses of `owner`: the misses of every access
+    /// replayed for it since its shadow state was created.
     pub fn solo_misses(&self, owner: OwnerId) -> u64 {
-        self.misses.get(&owner).copied().unwrap_or(0)
-    }
-
-    /// LLC references replayed for `owner` since the last counter reset.
-    pub fn solo_references(&self, owner: OwnerId) -> u64 {
-        self.references.get(&owner).copied().unwrap_or(0)
-    }
-
-    /// Estimated solo miss ratio of `owner` (misses / references).
-    pub fn solo_miss_ratio(&self, owner: OwnerId) -> f64 {
-        let refs = self.solo_references(owner);
-        if refs == 0 {
-            0.0
-        } else {
-            self.solo_misses(owner) as f64 / refs as f64
-        }
-    }
-
-    /// Clears miss/reference counters while keeping shadow cache contents
-    /// (the warmed-up state carries over to the next sampling period, like a
-    /// long-running simulator instance would).
-    pub fn reset_counters(&mut self) {
-        self.references.clear();
-        self.misses.clear();
+        self.caches
+            .get(usize::from(owner))
+            .and_then(Option::as_ref)
+            .map_or(0, |cache| cache.stats().misses)
     }
 
     /// Drops the shadow state of an owner entirely (VM destroyed).
     pub fn remove_owner(&mut self, owner: OwnerId) {
-        self.shadows.remove(&owner);
-        self.references.remove(&owner);
-        self.misses.remove(&owner);
-    }
-
-    /// Owners currently tracked, in ascending id order.
-    ///
-    /// The backing store is a `HashMap` (lookups on the replay hot path),
-    /// so the keys are collected and sorted here rather than exposing the
-    /// hash-iteration order to callers.
-    pub fn owners(&self) -> impl Iterator<Item = OwnerId> + '_ {
-        // kyoto-lint: allow(nondet-iter): keys are sorted below before being exposed
-        let mut owners: Vec<OwnerId> = self.shadows.keys().copied().collect();
-        owners.sort_unstable();
-        owners.into_iter()
+        if let Some(slot) = self.caches.get_mut(usize::from(owner)) {
+            *slot = None;
+        }
     }
 
     /// Moves the shadow state (cache contents and counters) of `owners` out
@@ -117,19 +100,15 @@ impl ShadowAttribution {
     pub fn take_partition(&mut self, owners: &[OwnerId]) -> ShadowAttribution {
         let mut part = ShadowAttribution {
             llc_config: self.llc_config.clone(),
-            shadows: HashMap::with_capacity(owners.len()),
-            references: HashMap::with_capacity(owners.len()),
-            misses: HashMap::with_capacity(owners.len()),
+            caches: Vec::new(),
         };
         for &owner in owners {
-            if let Some(cache) = self.shadows.remove(&owner) {
-                part.shadows.insert(owner, cache);
-            }
-            if let Some(refs) = self.references.remove(&owner) {
-                part.references.insert(owner, refs);
-            }
-            if let Some(misses) = self.misses.remove(&owner) {
-                part.misses.insert(owner, misses);
+            if let Some(cache) = self
+                .caches
+                .get_mut(usize::from(owner))
+                .and_then(Option::take)
+            {
+                *Self::slot(&mut part.caches, owner) = Some(cache);
             }
         }
         part
@@ -137,24 +116,22 @@ impl ShadowAttribution {
 
     /// Reabsorbs a partition produced by [`ShadowAttribution::take_partition`].
     ///
-    /// Owners tracked on both sides keep the partition's cache contents (the
-    /// partition is the newer state) and sum their counters; this only
-    /// happens when a partition is merged back into an attribution that
-    /// observed the same owner in the meantime, which the engine's
-    /// disjoint-by-socket partitioning rules out.
+    /// An owner tracked on both sides keeps the partition's state (the
+    /// partition is the newer state). Only merging a partition back into an
+    /// attribution that observed the same owner in the meantime does that,
+    /// which the engine's disjoint-by-socket partitioning rules out.
     pub fn merge(&mut self, part: ShadowAttribution) {
         debug_assert_eq!(
             self.llc_config, part.llc_config,
             "cannot merge shadow attributions of different geometry"
         );
-        self.shadows.extend(part.shadows);
-        // kyoto-lint: allow(nondet-iter): summing u64 counters is commutative, order is immaterial
-        for (owner, refs) in part.references {
-            *self.references.entry(owner).or_insert(0) += refs;
+        if self.caches.len() < part.caches.len() {
+            self.caches.resize_with(part.caches.len(), || None);
         }
-        // kyoto-lint: allow(nondet-iter): summing u64 counters is commutative, order is immaterial
-        for (owner, misses) in part.misses {
-            *self.misses.entry(owner).or_insert(0) += misses;
+        for (slot, cache) in self.caches.iter_mut().zip(part.caches) {
+            if cache.is_some() {
+                *slot = cache;
+            }
         }
     }
 }
@@ -196,23 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_reset_but_contents_survive() {
-        let mut s = shadow();
-        for i in 0..8u64 {
-            s.observe(1, i * 64);
-        }
-        assert_eq!(s.solo_misses(1), 8);
-        s.reset_counters();
-        assert_eq!(s.solo_misses(1), 0);
-        // Replaying the same lines hits the warmed shadow cache.
-        for i in 0..8u64 {
-            s.observe(1, i * 64);
-        }
-        assert_eq!(s.solo_misses(1), 0);
-        assert_eq!(s.solo_references(1), 8);
-    }
-
-    #[test]
     fn partitions_split_and_merge_round_trip() {
         let mut s = shadow();
         for i in 0..8u64 {
@@ -222,14 +182,12 @@ mod tests {
         let part = s.take_partition(&[1, 3]);
         // Owner 1 moved out entirely; owner 3 has no state yet.
         assert_eq!(s.solo_misses(1), 0);
-        assert_eq!(s.solo_references(1), 0);
         assert_eq!(part.solo_misses(1), 8);
-        assert_eq!(part.solo_references(1), 8);
+        assert_eq!(part.solo_misses(2), 0);
         assert_eq!(s.solo_misses(2), 8);
-        assert_eq!(part.owners().count(), 1);
         s.merge(part);
         assert_eq!(s.solo_misses(1), 8);
-        assert_eq!(s.owners().count(), 2);
+        assert_eq!(s.solo_misses(2), 8);
         // Warmed contents survived the round trip: replaying owner 1's
         // lines produces no new misses.
         for i in 0..8u64 {
@@ -239,24 +197,29 @@ mod tests {
     }
 
     #[test]
-    fn owners_listing_is_sorted_regardless_of_insertion_order() {
+    fn the_largest_owner_id_gets_its_own_shadow() {
         let mut s = shadow();
-        for owner in [7u16, 2, 9, 1, 5] {
-            s.observe(owner, 0);
-        }
-        assert_eq!(s.owners().collect::<Vec<_>>(), vec![1, 2, 5, 7, 9]);
+        s.observe(OwnerId::MAX, 0);
+        s.observe(OwnerId::MAX, 0);
+        assert_eq!(s.solo_misses(OwnerId::MAX), 1);
+        let mut part = s.take_partition(&[OwnerId::MAX]);
+        assert_eq!(s.solo_misses(OwnerId::MAX), 0);
+        part.observe(OwnerId::MAX, 64);
+        s.merge(part);
+        assert_eq!(s.solo_misses(OwnerId::MAX), 2);
     }
 
     #[test]
-    fn miss_ratio_and_owner_listing() {
+    fn remove_owner_drops_the_shadow_state() {
         let mut s = shadow();
-        assert_eq!(s.solo_miss_ratio(1), 0.0);
         s.observe(1, 0);
-        s.observe(1, 0);
-        assert!((s.solo_miss_ratio(1) - 0.5).abs() < 1e-12);
-        assert_eq!(s.owners().count(), 1);
+        s.observe(2, 0);
         s.remove_owner(1);
-        assert_eq!(s.owners().count(), 0);
-        assert_eq!(s.solo_references(1), 0);
+        s.remove_owner(9);
+        assert_eq!(s.solo_misses(1), 0);
+        assert_eq!(s.solo_misses(2), 1);
+        // A later access starts from a cold shadow cache.
+        s.observe(1, 0);
+        assert_eq!(s.solo_misses(1), 1);
     }
 }

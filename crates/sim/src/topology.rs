@@ -8,7 +8,7 @@
 //! preserving the contention behaviour (working sets are scaled identically
 //! by `kyoto-workloads`).
 
-use crate::cache::{Cache, CacheConfig, CacheStats, OwnerId};
+use crate::cache::{Cache, CacheConfig, CacheStats, OwnerId, ADDR_BITS};
 use crate::error::SimError;
 use crate::hierarchy::{AccessKind, AccessOutcome, CoreCaches, MemLevel};
 use serde::{Deserialize, Serialize};
@@ -451,7 +451,8 @@ impl Machine {
 
     /// Performs a memory access along a pre-resolved route. Semantically
     /// identical to [`Machine::access`] with the route's core and placement,
-    /// minus the per-access resolution work.
+    /// minus the per-access resolution work and the address check: `addr`
+    /// must be below `2^`[`ADDR_BITS`] (the engine checks before calling).
     #[inline]
     pub fn access_routed(
         &mut self,
@@ -472,7 +473,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownCore`] for out-of-range cores.
+    /// Returns [`SimError::UnknownCore`] for out-of-range cores and
+    /// [`SimError::AddressOutOfRange`] for an address at or above
+    /// `2^`[`ADDR_BITS`].
     pub fn access(
         &mut self,
         core: CoreId,
@@ -482,6 +485,9 @@ impl Machine {
         data_node: NumaNode,
         force_remote: bool,
     ) -> Result<AccessOutcome, SimError> {
+        if addr >> ADDR_BITS != 0 {
+            return Err(SimError::AddressOutOfRange { addr });
+        }
         let route = self.route(core, data_node, force_remote)?;
         Ok(self.access_routed(route, addr, kind, owner))
     }
@@ -619,6 +625,24 @@ mod tests {
     fn unknown_core_is_an_error() {
         let machine = Machine::new(MachineConfig::scaled_paper_machine(32));
         assert!(machine.socket_of(CoreId(99)).is_err());
+    }
+
+    #[test]
+    fn addresses_wider_than_addr_bits_are_an_error() {
+        let mut machine = Machine::new(MachineConfig::scaled_paper_machine(32));
+        let mut access =
+            |addr| machine.access(CoreId(0), addr, AccessKind::Load, 1, NumaNode(0), false);
+        assert_eq!(
+            access(1 << ADDR_BITS),
+            Err(SimError::AddressOutOfRange {
+                addr: 1 << ADDR_BITS
+            })
+        );
+        assert_eq!(
+            access(u64::MAX),
+            Err(SimError::AddressOutOfRange { addr: u64::MAX })
+        );
+        assert!(access((1 << ADDR_BITS) - 1).is_ok());
     }
 
     #[test]

@@ -20,12 +20,16 @@ pub enum Op {
     /// A data load from `addr` (byte address in the workload's own
     /// address space).
     Load {
-        /// Byte address accessed.
+        /// Byte address accessed; below
+        /// `2^`[`ADDR_BITS`](crate::cache::ADDR_BITS) (the engine panics on
+        /// a wider one).
         addr: u64,
     },
     /// A data store to `addr`.
     Store {
-        /// Byte address accessed.
+        /// Byte address accessed; below
+        /// `2^`[`ADDR_BITS`](crate::cache::ADDR_BITS) (the engine panics on
+        /// a wider one).
         addr: u64,
     },
 }

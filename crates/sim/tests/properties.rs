@@ -1,6 +1,6 @@
 //! Property-based tests of the cache and PMC invariants.
 
-use kyoto_sim::cache::{Cache, CacheConfig};
+use kyoto_sim::cache::{Cache, CacheConfig, ADDR_BITS};
 use kyoto_sim::hierarchy::AccessKind;
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, NumaNode, SocketId, SocketView};
@@ -31,15 +31,19 @@ proptest! {
         prop_assert!(stats.evictions <= stats.misses);
     }
 
-    /// A line that was just accessed is always resident immediately after.
+    /// A line that was just accessed is always resident immediately after,
+    /// anywhere in the `ADDR_BITS`-bit address space. The stream reuses a
+    /// pool of 64 addresses, so hits are exercised as well as fills.
     #[test]
     fn most_recent_access_is_resident(
-        accesses in prop::collection::vec((0u64..2048, 1u16..3), 1..300),
+        pool in prop::collection::vec(0u64..1 << ADDR_BITS, 64),
+        accesses in prop::collection::vec((0usize..64, 1u16..3), 1..300),
     ) {
         let mut cache = Cache::new(CacheConfig::new(4 * 1024, 4, 64)).unwrap();
-        for &(line, owner) in &accesses {
-            cache.access(line * 64, owner);
-            prop_assert!(cache.probe(line * 64, owner));
+        for &(index, owner) in &accesses {
+            let addr = pool[index];
+            cache.access(addr, owner);
+            prop_assert!(cache.probe(addr, owner));
         }
     }
 
