@@ -29,10 +29,18 @@
 # validates it (the figures binary validates before writing; `python3 -m
 # json.tool` re-checks externally when python3 is on PATH).
 #
-# `--no-timing` suppresses the wall-clock lines, so the whole report is
-# byte-comparable. Outputs land in $DETERMINISM_OUT (default:
-# target/determinism) so CI can upload them as artifacts — trace files
-# included.
+# `--no-timing` suppresses the wall-clock lines, and every run passes
+# `--jobs 2` because the report's header names the worker count, so the
+# whole report is byte-comparable on any host. Outputs land in
+# $DETERMINISM_OUT (default: target/determinism) so CI can upload them as
+# artifacts — trace files included.
+#
+# Runs that agree with each other can still all be wrong, so the gate ends
+# by comparing the SHA-256 of serial.txt, trace-serial.txt and
+# trace-service.json with ci/determinism_digests.txt and names each file
+# that differs. A change that alters simulated results on purpose
+# regenerates that file from its outputs:
+#   (cd target/determinism && sha256sum serial.txt trace-serial.txt trace-service.json)
 #
 # Usage:
 #   ci/check_determinism.sh                 # builds figures if needed
@@ -41,17 +49,19 @@ set -euo pipefail
 
 bin="${FIGURES_BIN:-target/release/figures}"
 out="${DETERMINISM_OUT:-target/determinism}"
+digests="ci/determinism_digests.txt"
 targets=(fig1 fig9 cloudscale fleet churn failures service interactive)
 
 if [ ! -x "$bin" ]; then
     cargo build --release -p kyoto-bench --bin figures
 fi
 mkdir -p "$out"
+figures=("$bin" --quick --no-timing --jobs 2)
 
 echo "Determinism gate over: ${targets[*]} (quick fidelity)"
-"$bin" --quick --no-timing "${targets[@]}" > "$out/serial.txt"
-"$bin" --quick --no-timing --parallel-engine "${targets[@]}" > "$out/parallel-engine.txt"
-"$bin" --quick --no-timing "${targets[@]}" > "$out/serial-rerun.txt"
+"${figures[@]}" "${targets[@]}" > "$out/serial.txt"
+"${figures[@]}" --parallel-engine "${targets[@]}" > "$out/parallel-engine.txt"
+"${figures[@]}" "${targets[@]}" > "$out/serial-rerun.txt"
 
 if ! diff -u "$out/serial.txt" "$out/parallel-engine.txt"; then
     echo "determinism gate FAILED: --parallel-engine changed figure bytes" >&2
@@ -64,9 +74,9 @@ fi
 
 trace_targets=(fig9 fleet service interactive)
 echo "Trace determinism gate over: ${trace_targets[*]} (quick fidelity)"
-"$bin" --quick --no-timing "${trace_targets[@]}" --trace-out "$out/trace-serial.txt" > /dev/null
-"$bin" --quick --no-timing --parallel-engine "${trace_targets[@]}" --trace-out "$out/trace-parallel-engine.txt" > /dev/null
-"$bin" --quick --no-timing "${trace_targets[@]}" --trace-out "$out/trace-serial-rerun.txt" > /dev/null
+"${figures[@]}" "${trace_targets[@]}" --trace-out "$out/trace-serial.txt" > /dev/null
+"${figures[@]}" --parallel-engine "${trace_targets[@]}" --trace-out "$out/trace-parallel-engine.txt" > /dev/null
+"${figures[@]}" "${trace_targets[@]}" --trace-out "$out/trace-serial-rerun.txt" > /dev/null
 
 if ! diff -u "$out/trace-serial.txt" "$out/trace-parallel-engine.txt"; then
     echo "determinism gate FAILED: --parallel-engine changed trace bytes" >&2
@@ -79,8 +89,23 @@ fi
 
 # Perfetto export: the binary validates the JSON before writing (it aborts
 # on malformed output); re-check with python when available.
-"$bin" --quick --no-timing service --trace-out "$out/trace-service.json" > /dev/null
+"${figures[@]}" service --trace-out "$out/trace-service.json" > /dev/null
 if command -v python3 > /dev/null 2>&1; then
     python3 -m json.tool "$out/trace-service.json" > /dev/null
+fi
+
+failed=0
+while read -r expected name; do
+    case "$expected" in
+        "" | "#"*) continue ;;
+    esac
+    actual=$(sha256sum "$out/$name" | cut -d' ' -f1)
+    if [ "$actual" != "$expected" ]; then
+        echo "determinism gate FAILED: $name differs from its digest in $digests (sha256 $actual, committed $expected)" >&2
+        failed=1
+    fi
+done < "$digests"
+if [ "$failed" -ne 0 ]; then
+    exit 1
 fi
 echo "determinism gate OK (outputs in $out)"

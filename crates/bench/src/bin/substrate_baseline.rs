@@ -164,27 +164,29 @@ enum EnginePath {
 /// Million simulated cycles per second of one `BUDGET`-cycle batch of
 /// `workloads` through `path` on `machine`, slot `i` on core
 /// `(i % sockets) * cores_per_socket + i / sockets`, so the slots spread
-/// evenly over the sockets. The batched, reference and parallel paths give
-/// bit-identical results (the engine's equivalence properties), so their
-/// ratios are pure wall-clock speedups.
+/// evenly over the sockets. The slots are built once, so every repetition
+/// continues each op stream where the last one stopped. The batched,
+/// reference and parallel paths give bit-identical results (the engine's
+/// equivalence properties), so their ratios are pure wall-clock speedups.
 fn engine_rate<W: Workload>(machine: MachineConfig, workloads: &mut [W], path: EnginePath) -> f64 {
     let (sockets, cores_per_socket) = (machine.sockets, machine.cores_per_socket);
     let mut engine = SimEngine::new(Machine::new(machine));
     if path == EnginePath::Traced {
         engine.trace_mut().enable();
     }
+    let amount = (BUDGET * workloads.len() as u64) as f64 / 1e6;
+    let mut slot_refs: Vec<ExecSlot<'_>> = workloads
+        .iter_mut()
+        .enumerate()
+        .map(|(i, w)| {
+            let core = (i % sockets) * cores_per_socket + i / sockets;
+            ExecSlot::new(CoreId(core), i as u16 + 1, w)
+        })
+        .collect();
     best_rate(
-        (BUDGET * workloads.len() as u64) as f64 / 1e6,
+        amount,
         || (),
         |_| {
-            let mut slot_refs: Vec<ExecSlot<'_>> = workloads
-                .iter_mut()
-                .enumerate()
-                .map(|(i, w)| {
-                    let core = (i % sockets) * cores_per_socket + i / sockets;
-                    ExecSlot::new(CoreId(core), i as u16 + 1, w)
-                })
-                .collect();
             let reports = match path {
                 EnginePath::Batched | EnginePath::Traced => {
                     engine.run_slots(&mut slot_refs, BUDGET)

@@ -144,11 +144,20 @@ impl EventSchedule {
     }
 }
 
+/// The most events one [`draw_count`] yields. A rate above it, infinity
+/// included, draws exactly this many, so no seeded stream grows without
+/// bound. It equals the service's request-trace rate cap.
+pub const MAX_DRAW: u64 = 1024;
+
 /// Realises a fractional per-epoch rate as an integer count: the integer
 /// part always happens, the fractional part happens with its probability.
-/// Shared with the fault schedule in [`crate::faults`] and the
+/// A rate above [`MAX_DRAW`] yields [`MAX_DRAW`] without drawing, and NaN
+/// yields 0. Shared with the fault schedule in [`crate::faults`] and the
 /// `kyoto-service` request-trace generators.
 pub fn draw_count(rng: &mut SmallRng, rate: f64) -> u64 {
+    if rate > MAX_DRAW as f64 {
+        return MAX_DRAW;
+    }
     let base = rate.floor();
     let frac = rate - base;
     let extra = frac > 0.0 && rng.gen_bool(frac);
@@ -237,5 +246,37 @@ mod tests {
         }
         assert!((120..=280).contains(&arrivals), "{arrivals} arrivals");
         assert!((40..=160).contains(&departures), "{departures} departures");
+    }
+
+    #[test]
+    fn draw_count_caps_huge_rates_and_maps_nan_to_zero() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        for rate in [f64::INFINITY, 1e300, f64::MAX] {
+            assert_eq!(draw_count(&mut rng, rate), MAX_DRAW, "rate {rate}");
+        }
+        assert_eq!(draw_count(&mut rng, f64::NAN), 0);
+        assert_eq!(draw_count(&mut rng, MAX_DRAW as f64), MAX_DRAW);
+    }
+
+    #[test]
+    fn infinite_rates_draw_a_bounded_number_of_events() {
+        let schedule = EventSchedule::new(
+            EventScheduleConfig::new(17)
+                .with_arrival_rate(f64::INFINITY)
+                .with_departure_rate(f64::INFINITY),
+        );
+        for epoch in 0..4 {
+            let events = schedule.events_for_epoch(epoch);
+            let arrivals = events
+                .iter()
+                .filter(|e| matches!(e, FleetEvent::VmArrival))
+                .count();
+            let departures = events
+                .iter()
+                .filter(|e| matches!(e, FleetEvent::VmDeparture { .. }))
+                .count();
+            assert!(arrivals as u64 <= MAX_DRAW, "{arrivals} arrivals");
+            assert!(departures as u64 <= MAX_DRAW, "{departures} departures");
+        }
     }
 }

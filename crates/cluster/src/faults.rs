@@ -405,6 +405,32 @@ mod tests {
     }
 
     #[test]
+    fn infinite_rates_draw_a_bounded_number_of_faults() {
+        let plan = FaultPlan::new(
+            FaultPlanConfig::new(23)
+                .with_crash_rate(f64::INFINITY)
+                .with_slowdown_rate(f64::INFINITY)
+                .with_abort_rate(f64::INFINITY),
+        );
+        for epoch in 0..4 {
+            let (mut crashes, mut slowdowns, mut aborts) = (0u64, 0u64, 0u64);
+            for fault in plan.faults_for_epoch(epoch) {
+                match fault {
+                    FaultEvent::CellCrash { .. } => crashes += 1,
+                    FaultEvent::CellSlowdown { .. } => slowdowns += 1,
+                    FaultEvent::MigrationAbort { .. } => aborts += 1,
+                }
+            }
+            for count in [crashes, slowdowns, aborts] {
+                assert!(
+                    count <= crate::events::MAX_DRAW,
+                    "{count} faults of one kind"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn abort_points_cover_all_three_stages() {
         let plan = FaultPlan::new(FaultPlanConfig::new(11).with_abort_rate(1.0));
         let mut seen = std::collections::HashSet::new();

@@ -9,8 +9,8 @@
 use crate::lifecycle::VcpuState;
 use crate::scheduler::{Scheduler, TickReport};
 use crate::vm::{VcpuId, VmConfig, VmId, VmReport};
-use kyoto_sim::engine::{ExecSlot, SimEngine};
-use kyoto_sim::pmc::{PmcSet, VirtualPmu};
+use kyoto_sim::engine::{ExecSlot, OpQueue, SimEngine};
+use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine};
 use kyoto_sim::workload::Workload;
 use serde::{Deserialize, Serialize};
@@ -131,7 +131,10 @@ pub struct TakenVm {
     /// The VM's configuration (pinning and all — the control plane
     /// re-places it before re-adding).
     pub config: VmConfig,
-    /// The per-vCPU workloads, execution state intact.
+    /// The per-vCPU workloads, execution state intact. The ops the source's
+    /// engine had fetched from a workload but not yet executed (fewer than
+    /// 64) are not part of that state: extraction discards them, so the
+    /// stream resumes just past them.
     pub workloads: Vec<Box<dyn Workload>>,
     /// The VM's final execution report on the source hypervisor.
     pub report: VmReport,
@@ -189,6 +192,9 @@ pub struct TickSample {
 struct VcpuRuntime {
     id: VcpuId,
     workload: Box<dyn Workload>,
+    /// The ops fetched from `workload` but not executed; it rides in the
+    /// vCPU's slot each tick, so the stream continues across ticks.
+    queue: OpQueue,
     pmcs: PmcSet,
     cycles_run: u64,
     ticks_scheduled: u64,
@@ -206,6 +212,7 @@ impl VcpuRuntime {
         Ok(VcpuRuntime {
             id: self.id,
             workload,
+            queue: self.queue.clone(),
             pmcs: self.pmcs,
             cycles_run: self.cycles_run,
             ticks_scheduled: self.ticks_scheduled,
@@ -253,7 +260,6 @@ pub struct Hypervisor<S: Scheduler> {
     /// last id (65535) cannot wrap to the reserved owner 0.
     next_vm_id: u32,
     tick: u64,
-    pmu: VirtualPmu,
     history: Vec<TickSample>,
     /// Divides the per-tick cycle budget; 1 for a healthy machine. The fleet
     /// layer raises it to model a degraded (slowed-down) cell.
@@ -280,7 +286,6 @@ impl<S: Scheduler> Hypervisor<S> {
             vms: Vec::new(),
             next_vm_id: 1,
             tick: 0,
-            pmu: VirtualPmu::new(),
             history: Vec::new(),
             budget_divisor: 1,
         }
@@ -339,11 +344,6 @@ impl<S: Scheduler> Hypervisor<S> {
         &mut self.scheduler
     }
 
-    /// The virtualised PMU (the perfctr-xen stand-in).
-    pub fn pmu(&self) -> &VirtualPmu {
-        &self.pmu
-    }
-
     /// Elapsed ticks since construction.
     pub fn current_tick(&self) -> u64 {
         self.tick
@@ -397,10 +397,10 @@ impl<S: Scheduler> Hypervisor<S> {
         for (index, workload) in workloads.into_iter().enumerate() {
             let vcpu_id = VcpuId::new(vm_id, index as u32);
             self.scheduler.add_vcpu(vcpu_id, &config);
-            self.pmu.register(vcpu_id.as_key());
             vcpus.push(VcpuRuntime {
                 id: vcpu_id,
                 workload,
+                queue: OpQueue::default(),
                 pmcs: PmcSet::default(),
                 cycles_run: 0,
                 ticks_scheduled: 0,
@@ -445,6 +445,8 @@ impl<S: Scheduler> Hypervisor<S> {
     /// Removes a VM like [`Hypervisor::remove_vm`] but hands its pieces back
     /// instead of dropping them: the configuration, the per-vCPU workloads
     /// (with their execution state intact) and the final execution report.
+    /// Each vCPU's op queue is dropped, discarding its fewer than 64
+    /// fetched-but-unexecuted ops.
     ///
     /// This is the extraction half of a live migration: a control plane
     /// re-adds the returned config and workloads to another hypervisor, where
@@ -465,8 +467,6 @@ impl<S: Scheduler> Hypervisor<S> {
         let mut vcpu_states = Vec::with_capacity(runtime.vcpus.len());
         for vcpu in runtime.vcpus {
             self.scheduler.remove_vcpu(vcpu.id);
-            self.pmu.unregister(vcpu.id.as_key());
-            self.engine.clear_op_buffer(vcpu.id.as_key());
             vcpu_states.push(vcpu.state);
             workloads.push(vcpu.workload);
         }
@@ -486,9 +486,11 @@ impl<S: Scheduler> Hypervisor<S> {
 
     /// Admits the pieces a [`Hypervisor::take_vm`] on another hypervisor
     /// extracted — the arrival half of a live migration, mirroring the
-    /// extraction half. The workloads resume exactly where they stopped;
-    /// nothing of the VM's cache footprint arrives with them, so the first
-    /// post-admission ticks re-fetch the working set through a cold cache.
+    /// extraction half. The workloads resume where the source's engine last
+    /// fetched from them, past the fewer than 64 fetched-but-unexecuted ops
+    /// [`Hypervisor::take_vm`] discarded; nothing of the VM's cache
+    /// footprint arrives with them, so the first post-admission ticks
+    /// re-fetch the working set through a cold cache.
     /// The lifecycle payload is restored too: a vCPU that was Blocked at the
     /// source arrives Blocked here, and the VM's wake clock continues where
     /// it stopped, so pending wake events fire at the same VM-local tick
@@ -629,7 +631,6 @@ impl<S: Scheduler> Hypervisor<S> {
             engine,
             scheduler,
             vms,
-            pmu,
             history,
             ..
         } = self;
@@ -668,15 +669,15 @@ impl<S: Scheduler> Hypervisor<S> {
                 if let Some((core, _)) = assignment.iter().find(|(_, v)| *v == vcpu.id) {
                     vcpu.state = VcpuState::Running;
                     let overrides = scheduler.overrides(vcpu.id);
-                    // The vCPU key identifies the op stream across ticks so
-                    // the engine's batched op buffers follow the vCPU even
-                    // when it migrates between cores.
                     let mut slot = ExecSlot::new(*core, vm_id.0, vcpu.workload.as_mut())
-                        .with_tag(vcpu.id.as_key())
                         .with_force_remote(overrides.force_remote);
                     if let Some(node) = numa_node {
                         slot = slot.with_data_node(node);
                     }
+                    // The vCPU's op queue rides in its slot, so the stream
+                    // continues where the vCPU's last tick stopped, on
+                    // whichever core it runs now.
+                    slot.queue = std::mem::take(&mut vcpu.queue);
                     slot_vcpus.push(vcpu.id);
                     slots.push(slot);
                 }
@@ -687,7 +688,7 @@ impl<S: Scheduler> Hypervisor<S> {
         } else {
             engine.run_slots(&mut slots, cycles_per_tick)
         };
-        drop(slots);
+        let mut queues: Vec<OpQueue> = slots.into_iter().map(|slot| slot.queue).collect();
 
         // Phase 3: accounting.
         let mut scheduled_info: Vec<(VcpuId, TickReport)> = Vec::with_capacity(reports.len());
@@ -723,7 +724,6 @@ impl<S: Scheduler> Hypervisor<S> {
                 0
             };
             scheduler.account(*vcpu_id, tick_report);
-            pmu.record_for(vcpu_id.as_key(), tick_report.pmc_delta);
             if trace_on {
                 // Punishment decisions (Kyoto descheduling) surface as
                 // instants with the per-tick delta of the scheduler's
@@ -749,7 +749,14 @@ impl<S: Scheduler> Hypervisor<S> {
             vm.ticks_elapsed += 1;
             let mut vm_blocked_cycles = 0u64;
             for vcpu in vm.vcpus.iter_mut() {
-                let scheduled = scheduled_info.iter().find(|(v, _)| *v == vcpu.id);
+                // Slots, reports and `scheduled_info` share one order, so
+                // the vCPU's index there is its slot's: the queue its slot
+                // carried goes back to it.
+                let slot = scheduled_info.iter().position(|(v, _)| *v == vcpu.id);
+                if let Some(i) = slot {
+                    vcpu.queue = std::mem::take(&mut queues[i]);
+                }
+                let scheduled = slot.map(|i| &scheduled_info[i]);
                 if let Some((_, tick_report)) = scheduled {
                     vcpu.pmcs += tick_report.pmc_delta;
                     vcpu.cycles_run += tick_report.consumed_cycles;
@@ -891,7 +898,6 @@ impl<S: Scheduler + Clone> Hypervisor<S> {
                 .collect::<Result<Vec<_>, _>>()?,
             next_vm_id: self.next_vm_id,
             tick: self.tick,
-            pmu: self.pmu.clone(),
             history: self.history.clone(),
             budget_divisor: self.budget_divisor,
         })
@@ -1332,6 +1338,50 @@ mod tests {
         // Divergence after the fork stays confined to the copy.
         copy.run_ticks(1);
         assert_ne!(copy.reports(), hv.reports());
+    }
+
+    #[test]
+    fn a_vcpu_op_stream_continues_across_ticks() {
+        // gcc and mcf time-share core 0, so each vCPU's op stream is cut at
+        // tick boundaries and resumed on a later tick. Replaying the
+        // recorded schedule on a bare engine, with one slot per VM reused
+        // across calls, must give each VM the same counters: a queue the
+        // hypervisor lost between ticks would skip ops.
+        let apps = [SpecApp::Gcc, SpecApp::Mcf];
+        let spec = |i: usize| SpecWorkload::new(apps[i], SCALE, i as u64);
+        let mut hv = crate::xen_hypervisor(machine(), HypervisorConfig::default().with_history());
+        let vms: Vec<VmId> = (0..apps.len())
+            .map(|i| {
+                hv.add_vm_with(
+                    VmConfig::new(format!("vm{i}")).pinned_to(vec![CoreId(0)]),
+                    Box::new(spec(i)),
+                )
+                .unwrap()
+            })
+            .collect();
+        hv.run_ticks(60);
+
+        let mut engine = SimEngine::new(machine());
+        let mut workloads: Vec<SpecWorkload> = (0..apps.len()).map(spec).collect();
+        let mut slots: Vec<ExecSlot<'_>> = workloads
+            .iter_mut()
+            .zip(&vms)
+            .map(|(workload, vm)| ExecSlot::new(CoreId(0), vm.0, workload))
+            .collect();
+        let scheduled: Vec<&TickSample> = hv.history().iter().filter(|s| s.scheduled).collect();
+        assert_eq!(scheduled.len(), 60, "core 0 runs one vCPU every tick");
+        for sample in scheduled {
+            let i = vms.iter().position(|vm| *vm == sample.vcpu.vm).unwrap();
+            engine.run_slots(
+                std::slice::from_mut(&mut slots[i]),
+                hv.effective_cycles_per_tick(),
+            );
+        }
+        for (slot, vm) in slots.iter().zip(&vms) {
+            let report = hv.report(*vm).unwrap();
+            assert!((1..60).contains(&report.ticks_scheduled));
+            assert_eq!(report.pmcs, slot.pmcs, "{}", report.name);
+        }
     }
 
     #[test]

@@ -40,18 +40,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Ops fetched from a workload per `fill_ops` batch: large enough to
-/// amortise the dynamic dispatch, small enough that carried-over ops stay
-/// negligible in memory.
+/// amortise the dynamic dispatch, small enough that the ops a queue holds
+/// between calls stay negligible in memory.
 const OP_CHUNK: usize = 64;
-
-/// Calls a carried op buffer may sit unused before the stale sweep drops it.
-/// Large enough that any legitimately descheduled stream (alternative
-/// execution, long Kyoto punishments) survives, small enough that abandoned
-/// tags cannot accumulate without bound.
-const CARRY_STALE_AFTER: u64 = 1024;
-
-/// How often (in batched `run_slots*` calls) the stale-carry sweep runs.
-const CARRY_PRUNE_INTERVAL: u64 = 256;
 
 /// An execution binding: a workload running on behalf of `owner` on `core`.
 pub struct ExecSlot<'a> {
@@ -67,22 +58,12 @@ pub struct ExecSlot<'a> {
     /// placement. Used to model a vCPU migrated away from its memory by the
     /// socket-dedication pollution monitor (Fig. 9).
     pub force_remote: bool,
-    /// Stable identity of the workload stream behind this slot, used to key
-    /// the engine's batched op buffers across [`SimEngine::run_slots`]
-    /// calls. Slots rebuilt every call (as the hypervisor does per tick)
-    /// must reuse the same tag for the same workload so its op stream
-    /// continues seamlessly; tags must be unique within one call.
-    ///
-    /// Defaults to a value derived from `(owner, core)`, which is correct
-    /// as long as a given workload always runs under the same owner/core
-    /// pair. **Migration pitfall:** the default tag changes when the same
-    /// workload is rebound to a different core, so the ops prefetched under
-    /// the old tag are orphaned — the stream silently skips up to one chunk
-    /// and the abandoned buffer lingers until the engine's stale sweep
-    /// prunes it. Callers that migrate streams between cores must supply a
-    /// core-independent tag via [`ExecSlot::with_tag`]; the hypervisor uses
-    /// the vCPU key.
-    pub tag: u64,
+    /// The workload's fetched-but-unexecuted ops. A batched call consumes
+    /// and refills them and leaves the rest here, so a slot reused across
+    /// calls continues its op stream where the previous call stopped.
+    /// Callers that rebuild slots every call (as the hypervisor does per
+    /// tick) move the queue from slot to slot.
+    pub queue: OpQueue,
     /// Cumulative counters across every call this slot participated in.
     pub pmcs: PmcSet,
 }
@@ -95,31 +76,25 @@ impl std::fmt::Debug for ExecSlot<'_> {
             .field("workload", &self.workload.name())
             .field("data_node", &self.data_node)
             .field("force_remote", &self.force_remote)
-            .field("tag", &self.tag)
+            .field("queue", &self.queue)
             .field("pmcs", &self.pmcs)
             .finish()
     }
 }
 
 impl<'a> ExecSlot<'a> {
-    /// Creates a slot with data local to the core's socket and no forced
-    /// remote accesses.
+    /// Creates a slot with data local to the core's socket, no forced
+    /// remote accesses and an empty op queue.
     pub fn new(core: CoreId, owner: OwnerId, workload: &'a mut dyn Workload) -> Self {
         ExecSlot {
-            tag: (u64::from(owner) << 32) | (core.0 as u64 & 0xffff_ffff),
             core,
             owner,
             workload,
             data_node: NumaNode(usize::MAX), // resolved lazily to the core's node
             force_remote: false,
+            queue: OpQueue::default(),
             pmcs: PmcSet::default(),
         }
-    }
-
-    /// Overrides the op-stream identity tag (see [`ExecSlot::tag`]).
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = tag;
-        self
     }
 
     /// Places the owner's memory on an explicit NUMA node.
@@ -154,13 +129,15 @@ impl QuantumReport {
     }
 }
 
-/// A batched op stream: ops prefetched from a workload in [`OP_CHUNK`]
-/// blocks and consumed in order, runs of compute ops in one pass and memory
-/// ops one at a time. Unconsumed ops survive in the engine's
-/// carry map so the stream continues exactly where it stopped on the next
-/// call — batching is invisible to the simulation semantics.
+/// A batched op stream: ops prefetched from a workload in blocks of up to
+/// 64 and consumed in order, runs of compute ops in one pass and memory
+/// ops one at a time. It lives in its [`ExecSlot`], so the ops a call
+/// fetched but did not execute wait there and the stream continues
+/// exactly where it stopped on the next call — batching is invisible to
+/// the simulation semantics. Dropping a queue discards those ops (fewer
+/// than 64).
 #[derive(Debug, Default, Clone)]
-struct OpQueue {
+pub struct OpQueue {
     buf: Vec<Op>,
     head: usize,
 }
@@ -213,10 +190,6 @@ impl OpQueue {
             // Defensive: a short-filling workload must still make progress.
             self.buf.push(workload.next_op());
         }
-    }
-
-    fn is_drained(&self) -> bool {
-        self.head == self.buf.len()
     }
 }
 
@@ -346,9 +319,12 @@ struct Component {
 }
 
 /// One slot's state during a batched call: the slot, its position in the
-/// caller's slice, its op stream, its pre-resolved route and memory-level
+/// caller's slice, its op queue, its pre-resolved route and memory-level
 /// parallelism (both static per slot, hoisted out of the per-op loop) and
-/// the report it accumulates.
+/// the report it accumulates. The queue is moved out of the slot for the
+/// call and back at the end: the per-op writes then land in the lanes,
+/// which are contiguous per component, and not in the caller's slots,
+/// where neighbours may run on other sockets' threads.
 struct Lane<'s, 'w> {
     slot: &'s mut ExecSlot<'w>,
     index: usize,
@@ -486,32 +462,18 @@ fn run_epoch_interleaving<M: AccessMem>(
     }
 }
 
-/// A carried op buffer plus the call number that last touched it, so the
-/// stale sweep can prune buffers whose tag never reappears.
-#[derive(Debug, Clone)]
-struct CarriedOps {
-    queue: OpQueue,
-    last_used: u64,
-}
-
 /// The time-stepped simulation engine.
 ///
 /// `Clone` deep-copies the whole machine state (cache hierarchies, shadow
-/// replay, carried op buffers), which is what fleet checkpointing relies on:
-/// a cloned engine continues bit-identically to the original.
+/// replay), which is what fleet checkpointing relies on: a cloned engine,
+/// driven with copies of the same slots and queues, continues
+/// bit-identically to the original. The engine keeps no per-stream state
+/// between calls; each op stream's queue lives in its [`ExecSlot`].
 #[derive(Debug, Clone)]
 pub struct SimEngine {
     machine: Machine,
     shadow: Option<ShadowAttribution>,
     elapsed_cycles: u64,
-    /// Batched-but-unexecuted ops per slot tag, carried across
-    /// [`SimEngine::run_slots`] calls so op streams continue seamlessly.
-    /// Entries whose tag stays absent for [`CARRY_STALE_AFTER`] calls are
-    /// pruned (see [`ExecSlot::tag`] for how stale tags arise).
-    op_carry: HashMap<u64, CarriedOps>,
-    /// Number of batched (`run_slots` / `run_slots_parallel`) calls so far;
-    /// the logical clock of the carry map's staleness accounting.
-    run_calls: u64,
     /// Worker threads the most recent batched call spawned (0 when it ran
     /// inline). Diagnostics only — lets tests pin which batches actually
     /// parallelise.
@@ -529,8 +491,6 @@ impl SimEngine {
             machine,
             shadow: None,
             elapsed_cycles: 0,
-            op_carry: HashMap::new(),
-            run_calls: 0,
             last_parallel_groups: 0,
             trace: TraceSink::default(),
         }
@@ -560,38 +520,6 @@ impl SimEngine {
     /// by shadow-attributed owners).
     pub fn parallel_groups_last_call(&self) -> usize {
         self.last_parallel_groups
-    }
-
-    /// Discards batched-but-unexecuted ops fetched for `tag`. Call when the
-    /// entity behind the tag disappears (VM destroyed) or its workload is
-    /// replaced or reset, so a future reuse of the tag starts clean.
-    pub fn clear_op_buffer(&mut self, tag: u64) {
-        self.op_carry.remove(&tag);
-    }
-
-    /// Number of batched op buffers currently carried across calls
-    /// (diagnostics; lets tests observe the stale sweep).
-    pub fn carried_op_buffers(&self) -> usize {
-        self.op_carry.len()
-    }
-
-    /// Drops carried op buffers whose tag has not been seen for
-    /// [`CARRY_STALE_AFTER`] calls: their stream was migrated under a
-    /// different default tag or abandoned outright, and nothing will ever
-    /// consume them.
-    #[cold]
-    fn prune_stale_carries(&mut self) {
-        let cutoff = self.run_calls.saturating_sub(CARRY_STALE_AFTER);
-        self.op_carry
-            .retain(|_, carried| carried.last_used >= cutoff);
-    }
-
-    /// Bumps the batched-call clock and runs the periodic stale sweep.
-    fn begin_batched_call(&mut self) {
-        self.run_calls += 1;
-        if self.run_calls.is_multiple_of(CARRY_PRUNE_INTERVAL) {
-            self.prune_stale_carries();
-        }
     }
 
     /// Enables simulator-based pollution attribution (the McSimA+ stand-in):
@@ -652,8 +580,9 @@ impl SimEngine {
     /// Returns one report per slot, in the order of `slots`. Slots also
     /// accumulate the counter deltas into their own [`ExecSlot::pmcs`].
     ///
-    /// The interleaving is epoch-based, with ops pulled from batched
-    /// per-slot buffers ([`Workload::fill_ops`]), and only memory ops are
+    /// The interleaving is epoch-based, with ops pulled in batches
+    /// ([`Workload::fill_ops`]) into each slot's [`ExecSlot::queue`], which
+    /// keeps the ops the call fetched but did not execute. Only memory ops are
     /// ordering points: the slot that is furthest behind in cycle time
     /// (ties broken by slot index) runs until its next memory op would
     /// start after another slot's current position, retiring each run of
@@ -709,22 +638,14 @@ impl SimEngine {
 
     /// The epilogue of a batched call: folds each lane's counter deltas into
     /// its slot's cumulative PMCs (once per call instead of once per op),
-    /// preserves fetched-but-unexecuted ops for the next call on each tag,
-    /// advances the logical clock by the busiest slot's consumed cycles and
-    /// returns the reports in slot order.
+    /// moves each queue back into its slot, advances the logical clock by
+    /// the busiest slot's consumed cycles and returns the reports in slot
+    /// order.
     fn finish_batched_call(&mut self, lanes: Vec<Lane<'_, '_>>) -> Vec<QuantumReport> {
         let mut reports = vec![QuantumReport::default(); lanes.len()];
         for lane in lanes {
             lane.slot.pmcs += lane.report.pmc_delta;
-            if !lane.queue.is_drained() {
-                self.op_carry.insert(
-                    lane.slot.tag,
-                    CarriedOps {
-                        queue: lane.queue,
-                        last_used: self.run_calls,
-                    },
-                );
-            }
+            lane.slot.queue = lane.queue;
             reports[lane.index] = lane.report;
         }
         self.elapsed_cycles += reports
@@ -841,8 +762,9 @@ impl SimEngine {
 
     /// The body of [`SimEngine::run_slots`] and
     /// [`SimEngine::run_slots_parallel`]. In order: checks every slot's core
-    /// and resolves its route, takes the carried op queues, partitions the
-    /// batch into socket components ([`SimEngine::partition`]), runs
+    /// and resolves its route, moves each slot's op queue into its lane,
+    /// partitions the batch into socket components
+    /// ([`SimEngine::partition`]), runs
     /// [`run_epoch_interleaving`] per component and ends in one epilogue
     /// ([`SimEngine::finish_batched_call`]). With `threads` set, two or more
     /// components run on scoped threads, each against its socket view or
@@ -861,17 +783,7 @@ impl SimEngine {
         }
         let trace_start = self.elapsed_cycles;
         self.resolve_data_nodes(slots);
-        debug_assert!(
-            {
-                let mut tags: Vec<u64> = slots.iter().map(|s| s.tag).collect();
-                tags.sort_unstable();
-                tags.windows(2).all(|w| w[0] != w[1])
-            },
-            "slot tags must be unique within one batched call"
-        );
-        self.begin_batched_call();
 
-        // Pick the op streams up exactly where the previous call left them.
         let mut lanes: Vec<Lane<'_, '_>> = Vec::with_capacity(slots.len());
         for (index, slot) in slots.iter_mut().enumerate() {
             lanes.push(Lane {
@@ -880,11 +792,7 @@ impl SimEngine {
                     .route(slot.core, slot.data_node, slot.force_remote)
                     .expect("slot references an unknown core"),
                 mlp: slot.workload.mem_parallelism().max(1.0),
-                queue: self
-                    .op_carry
-                    .remove(&slot.tag)
-                    .map(|carried| carried.queue)
-                    .unwrap_or_default(),
+                queue: std::mem::take(&mut slot.queue),
                 report: QuantumReport::default(),
                 index,
                 slot,
@@ -1329,51 +1237,6 @@ mod tests {
         assert!(pmcs.ilc_misses <= pmcs.memory_accesses);
     }
 
-    #[test]
-    fn stale_op_carries_are_pruned() {
-        let mut e = engine();
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut abandoned = FixedSequence::new("abandoned", ops.clone());
-        let mut slot = ExecSlot::new(CoreId(0), 1, &mut abandoned).with_tag(7);
-        e.run_slots(std::slice::from_mut(&mut slot), 1_000);
-        assert_eq!(e.carried_op_buffers(), 1, "tag 7 carries unexecuted ops");
-        // Tag 7 never reappears; a live stream keeps running under tag 8.
-        let mut live = FixedSequence::new("live", ops);
-        for _ in 0..(CARRY_STALE_AFTER + CARRY_PRUNE_INTERVAL + 1) {
-            let mut slot = ExecSlot::new(CoreId(1), 2, &mut live).with_tag(8);
-            e.run_slots(std::slice::from_mut(&mut slot), 500);
-        }
-        assert_eq!(
-            e.carried_op_buffers(),
-            1,
-            "the abandoned tag must be pruned while the live tag survives"
-        );
-        // The live stream still continues: running again works.
-        let mut slot = ExecSlot::new(CoreId(1), 2, &mut live).with_tag(8);
-        let reports = e.run_slots(std::slice::from_mut(&mut slot), 500);
-        assert!(reports[0].consumed_cycles >= 500);
-    }
-
-    #[test]
-    fn recently_used_carries_survive_the_sweep() {
-        let mut e = engine();
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut a = FixedSequence::new("a", ops.clone());
-        let mut b = FixedSequence::new("b", ops);
-        // Alternative execution: the two tags take turns, so neither ever
-        // goes stale even across many sweeps.
-        for call in 0..(2 * CARRY_PRUNE_INTERVAL + 3) {
-            if call % 2 == 0 {
-                let mut slot = ExecSlot::new(CoreId(0), 1, &mut a).with_tag(1);
-                e.run_slots(std::slice::from_mut(&mut slot), 500);
-            } else {
-                let mut slot = ExecSlot::new(CoreId(0), 2, &mut b).with_tag(2);
-                e.run_slots(std::slice::from_mut(&mut slot), 500);
-            }
-        }
-        assert_eq!(e.carried_op_buffers(), 2);
-    }
-
     fn lcg_ops(seed: u64, count: usize) -> Vec<Op> {
         let mut state = seed | 1;
         (0..count)
@@ -1412,18 +1275,19 @@ mod tests {
                         .with_mem_parallelism(1.0 + w as f64)
                 })
                 .collect();
+            // Slots 0,1 on socket 0 (cores 0,1); slots 2,3 on socket 1
+            // (cores 4,5). They are reused, so each stream continues from
+            // round to round.
+            let mut slots: Vec<ExecSlot<'_>> = workloads
+                .iter_mut()
+                .enumerate()
+                .map(|(w, wl)| {
+                    let core = CoreId(if w < 2 { w } else { w + 2 });
+                    ExecSlot::new(core, w as OwnerId + 1, wl)
+                })
+                .collect();
             let mut all_reports = Vec::new();
             for round in 0..3 {
-                let mut slots: Vec<ExecSlot<'_>> = workloads
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, wl)| {
-                        // Slots 0,1 on socket 0 (cores 0,1); slots 2,3 on
-                        // socket 1 (cores 4,5).
-                        let core = CoreId(if w < 2 { w } else { w + 2 });
-                        ExecSlot::new(core, w as OwnerId + 1, wl).with_tag(w as u64 + 1)
-                    })
-                    .collect();
                 let reports = if parallel {
                     e.run_slots_parallel(&mut slots, 8_000 + round * 1_000)
                 } else {
@@ -1478,8 +1342,8 @@ mod tests {
         // Owner 1 has slots on both sockets: its one shadow cache couples
         // them into one component, which runs inline on a socket group.
         let mut slots = vec![
-            ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
-            ExecSlot::new(CoreId(4), 1, &mut b).with_tag(11),
+            ExecSlot::new(CoreId(0), 1, &mut a),
+            ExecSlot::new(CoreId(4), 1, &mut b),
         ];
         let reports = e.run_slots_parallel(&mut slots, 5_000);
         assert!(reports.iter().all(|r| r.consumed_cycles >= 5_000));
@@ -1508,10 +1372,7 @@ mod tests {
             let mut slots: Vec<ExecSlot<'_>> = cores
                 .iter()
                 .zip(owners)
-                .map(|(&core, owner)| {
-                    ExecSlot::new(CoreId(core), owner, iter.next().unwrap())
-                        .with_tag(core as u64 + 100)
-                })
+                .map(|(&core, owner)| ExecSlot::new(CoreId(core), owner, iter.next().unwrap()))
                 .collect();
             let reports = if parallel {
                 e.run_slots_parallel(&mut slots, 20_000)
@@ -1553,8 +1414,8 @@ mod tests {
         let mut a = FixedSequence::new("a", ops.clone());
         let mut b = FixedSequence::new("b", ops.clone());
         let mut slots = vec![
-            ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
-            ExecSlot::new(CoreId(4), 1, &mut b).with_tag(11),
+            ExecSlot::new(CoreId(0), 1, &mut a),
+            ExecSlot::new(CoreId(4), 1, &mut b),
         ];
         e.run_slots_parallel(&mut slots, 5_000);
         assert_eq!(
@@ -1565,8 +1426,8 @@ mod tests {
         drop(slots);
         let mut c = FixedSequence::new("c", ops);
         let mut slots = vec![
-            ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
-            ExecSlot::new(CoreId(4), 2, &mut c).with_tag(12),
+            ExecSlot::new(CoreId(0), 1, &mut a),
+            ExecSlot::new(CoreId(4), 2, &mut c),
         ];
         let reports = e.run_slots_parallel(&mut slots, 5_000);
         assert_eq!(
@@ -1580,16 +1441,16 @@ mod tests {
 
     #[test]
     fn op_buffers_carry_across_calls_per_tag() {
-        // A FixedSequence visiting distinct lines: if the engine dropped the
-        // prefetched-but-unexecuted ops between calls, the visited address
-        // sequence would skip lines and the total distinct-line count of two
-        // short calls would diverge from one long call.
+        // A FixedSequence visiting distinct lines: if the slot's queue lost
+        // the prefetched-but-unexecuted ops between calls, the visited
+        // address sequence would skip lines and the total distinct-line
+        // count of three short calls would diverge from one long call.
         let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
         let run = |budgets: &[u64]| -> u64 {
             let mut e = engine();
             let mut wl = FixedSequence::new("seq", ops.clone());
+            let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl);
             for &budget in budgets {
-                let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(7);
                 e.run_slots(std::slice::from_mut(&mut slot), budget);
             }
             e.machine()
@@ -1607,19 +1468,5 @@ mod tests {
             split.abs_diff(joined) <= 4,
             "split={split}, joined={joined}"
         );
-    }
-
-    #[test]
-    fn clear_op_buffer_restarts_the_stream_for_a_tag() {
-        let ops: Vec<Op> = (0..256u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut e = engine();
-        let mut wl = FixedSequence::new("seq", ops);
-        let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(42);
-        e.run_slots(std::slice::from_mut(&mut slot), 1_000);
-        e.clear_op_buffer(42);
-        assert_eq!(e.carried_op_buffers(), 0);
-        // After clearing, running again must still work (fresh fetch).
-        let reports = e.run_slots(std::slice::from_mut(&mut slot), 1_000);
-        assert!(reports[0].consumed_cycles >= 1_000);
     }
 }

@@ -14,7 +14,8 @@
 //!   the paper's testbed (Table 1).
 //! * [`topology`] — machine, socket, core and NUMA-node model, including the
 //!   exact geometry and latencies of the paper's machines.
-//! * [`pmc`] — virtualised performance counters (the `perfctr-xen` stand-in).
+//! * [`pmc`] — the performance-counter snapshot read per vCPU (the
+//!   `perfctr-xen` stand-in).
 //! * [`workload`] — the [`workload::Workload`] trait that memory-access
 //!   generators implement (implementations live in `kyoto-workloads`).
 //! * [`engine`] — a deterministic, time-stepped engine that interleaves the
@@ -67,6 +68,6 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use engine::{ExecSlot, QuantumReport, SimEngine};
 pub use error::SimError;
 pub use hierarchy::{AccessKind, AccessOutcome, MemLevel};
-pub use pmc::{PmcSet, VirtualPmu};
+pub use pmc::PmcSet;
 pub use topology::{CoreId, Machine, MachineConfig, NumaNode, SocketId};
 pub use workload::{Op, Workload};

@@ -1,14 +1,15 @@
-//! Virtualised performance monitoring counters (PMCs).
+//! Performance monitoring counters (PMCs).
 //!
 //! The paper gathers `LLC Misses` and `UnHalted Core Cycles` through a
 //! modified `perfctr-xen` that saves/restores counters on vCPU context
-//! switches so each VM's counters reflect only its own execution. This module
-//! plays that role for the simulated machine: [`PmcSet`] is the counter
-//! snapshot and [`VirtualPmu`] attributes counter deltas to contexts
-//! (vCPUs) across context switches.
+//! switches so each VM's counters reflect only its own execution. Here
+//! [`PmcSet`] is the counter snapshot, and per-vCPU counters stand in for
+//! perfctr-xen: the engine reports each slot's delta for exactly the
+//! cycles it ran, and the hypervisor adds it to the counters of the vCPU
+//! behind the slot (reported as the VM's `pmcs`), then hands it to the
+//! scheduler as the tick's `pmc_delta`.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A snapshot of the performance counters the Kyoto monitor relies on.
@@ -121,85 +122,6 @@ impl Sub for PmcSet {
     }
 }
 
-/// Identifier of a PMC context (one per vCPU in the hypervisor).
-pub type PmcContextId = u64;
-
-/// Per-context virtualised PMU, the `perfctr-xen` stand-in.
-///
-/// Each context accumulates only the counter deltas recorded while it was
-/// the active context of its core, exactly like counters saved and restored
-/// on vCPU context switches.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualPmu {
-    contexts: HashMap<PmcContextId, PmcSet>,
-    active: HashMap<usize, PmcContextId>,
-}
-
-impl VirtualPmu {
-    /// Creates an empty PMU with no contexts.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `ctx` (idempotent).
-    pub fn register(&mut self, ctx: PmcContextId) {
-        self.contexts.entry(ctx).or_default();
-    }
-
-    /// Removes a context and returns its final counters.
-    pub fn unregister(&mut self, ctx: PmcContextId) -> Option<PmcSet> {
-        self.contexts.remove(&ctx)
-    }
-
-    /// Marks `ctx` as the active context on `core` (a context switch).
-    /// Returns the previously active context, if any.
-    pub fn context_switch(&mut self, core: usize, ctx: PmcContextId) -> Option<PmcContextId> {
-        self.register(ctx);
-        self.active.insert(core, ctx)
-    }
-
-    /// Marks `core` as idle (no active context).
-    pub fn park(&mut self, core: usize) -> Option<PmcContextId> {
-        self.active.remove(&core)
-    }
-
-    /// The context currently active on `core`.
-    pub fn active_on(&self, core: usize) -> Option<PmcContextId> {
-        self.active.get(&core).copied()
-    }
-
-    /// Records a counter delta measured on `core`, attributing it to the
-    /// active context. Deltas recorded on an idle core are dropped (they
-    /// belong to the hypervisor itself).
-    pub fn record(&mut self, core: usize, delta: PmcSet) {
-        if let Some(ctx) = self.active.get(&core) {
-            *self.contexts.entry(*ctx).or_default() += delta;
-        }
-    }
-
-    /// Records a counter delta directly against a context, bypassing the
-    /// active-context indirection (used when the caller already knows the
-    /// attribution, e.g. the simulation engine's per-slot reports).
-    pub fn record_for(&mut self, ctx: PmcContextId, delta: PmcSet) {
-        *self.contexts.entry(ctx).or_default() += delta;
-    }
-
-    /// Cumulative counters of a context.
-    pub fn read(&self, ctx: PmcContextId) -> PmcSet {
-        self.contexts.get(&ctx).copied().unwrap_or_default()
-    }
-
-    /// Number of registered contexts.
-    pub fn len(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// Whether no context is registered.
-    pub fn is_empty(&self) -> bool {
-        self.contexts.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,44 +169,6 @@ mod tests {
         let a = sample(100, 300, 7);
         let b = sample(50, 60, 3);
         assert_eq!((a + b) - b, a);
-    }
-
-    #[test]
-    fn pmu_attributes_deltas_to_active_context() {
-        let mut pmu = VirtualPmu::new();
-        pmu.context_switch(0, 11);
-        pmu.record(0, sample(100, 200, 5));
-        pmu.context_switch(0, 22);
-        pmu.record(0, sample(10, 20, 1));
-        assert_eq!(pmu.read(11).instructions, 100);
-        assert_eq!(pmu.read(22).instructions, 10);
-        assert_eq!(pmu.read(33), PmcSet::default());
-    }
-
-    #[test]
-    fn pmu_drops_deltas_on_idle_cores() {
-        let mut pmu = VirtualPmu::new();
-        pmu.context_switch(0, 11);
-        pmu.park(0);
-        pmu.record(0, sample(100, 200, 5));
-        assert!(pmu.read(11).is_zero());
-    }
-
-    #[test]
-    fn context_switch_returns_previous_context() {
-        let mut pmu = VirtualPmu::new();
-        assert_eq!(pmu.context_switch(3, 1), None);
-        assert_eq!(pmu.context_switch(3, 2), Some(1));
-        assert_eq!(pmu.active_on(3), Some(2));
-    }
-
-    #[test]
-    fn unregister_returns_final_counters() {
-        let mut pmu = VirtualPmu::new();
-        pmu.record_for(9, sample(1, 2, 3));
-        let last = pmu.unregister(9).unwrap();
-        assert_eq!(last.llc_misses, 3);
-        assert!(pmu.is_empty());
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //! slots across every socket, and one in which an owner has slots on two
 //! sockets, so shadow attribution couples them into one component), and the
 //! paper's execution modes (parallel co-scheduling and alternative
-//! time-sharing over successive calls, which exercises the carried op
-//! buffers). The properties draw from two op streams: mostly memory ops, and
-//! long compute runs between memory bursts. The second covers the batched
-//! body's one-pass retirement of compute runs: runs that cross the 64-op
-//! fetch chunk and runs that end at the budget.
+//! time-sharing over successive calls, which exercises op queues moved
+//! from call to call). The properties draw from two op streams: mostly
+//! memory ops, and long compute runs between memory bursts. The second
+//! covers the batched body's one-pass retirement of compute runs: runs that
+//! cross the 64-op fetch chunk and runs that end at the budget.
 
 use kyoto_sim::cache::OwnerId;
-use kyoto_sim::engine::{ExecSlot, SimEngine};
+use kyoto_sim::engine::{ExecSlot, OpQueue, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
 use kyoto_sim::workload::{Op, Workload};
@@ -289,22 +289,25 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
         })
         .collect();
     let mut pmcs = vec![PmcSet::default(); workload_count];
+    // One op queue per workload, moved into its slot for each call and
+    // back out afterwards, as the hypervisor does per vCPU.
+    let mut queues = vec![OpQueue::default(); workload_count];
     let mut reports = Vec::with_capacity(scenario.budgets.len());
 
     for (call, &budget) in scenario.budgets.iter().enumerate() {
         let selected = participants(scenario, call);
         let mut remaining: Vec<&mut Box<dyn Workload>> = workloads.iter_mut().collect();
         // Pull the selected workloads out in index order so each call can
-        // borrow several of them mutably at once. Each stream is tagged by
-        // its workload, so two workloads sharing an owner keep their own
-        // carried op buffers.
+        // borrow several of them mutably at once. Each stream's queue
+        // belongs to its workload, so two workloads sharing an owner keep
+        // their own.
         let mut slots: Vec<ExecSlot<'_>> = Vec::new();
         let mut slot_workload_indices = Vec::new();
         for &(w, spec) in selected.iter().rev() {
             let workload = remaining.remove(w);
-            slots.push(
-                ExecSlot::new(CoreId(spec.core), spec.owner, workload.as_mut()).with_tag(w as u64),
-            );
+            let mut slot = ExecSlot::new(CoreId(spec.core), spec.owner, workload.as_mut());
+            slot.queue = std::mem::take(&mut queues[w]);
+            slots.push(slot);
             slot_workload_indices.push(w);
         }
         slots.reverse();
@@ -314,8 +317,9 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
             EnginePath::Reference => engine.run_slots_reference(&mut slots, budget),
             EnginePath::Parallel => engine.run_slots_parallel(&mut slots, budget),
         });
-        for (slot, &w) in slots.iter().zip(&slot_workload_indices) {
+        for (slot, &w) in slots.into_iter().zip(&slot_workload_indices) {
             pmcs[w] += slot.pmcs;
+            queues[w] = slot.queue;
         }
     }
 
@@ -505,11 +509,11 @@ proptest! {
     }
 }
 
-/// Non-property smoke check: the carried op buffer really continues the
-/// stream (a workload interrupted mid-chunk resumes where the engine
-/// stopped consuming, not where the prefetch stopped).
+/// Non-property smoke check: the op queue moved between calls really
+/// continues the stream (a workload interrupted mid-chunk resumes where the
+/// engine stopped consuming, not where the prefetch stopped).
 #[test]
-fn carried_op_buffers_preserve_the_stream_across_calls() {
+fn op_queues_preserve_the_stream_across_calls() {
     let many_small_budgets: Vec<u64> = (0..12).map(|i| 700 + i * 137).collect();
     let one_big_budget = vec![many_small_budgets.iter().sum::<u64>()];
     let run = |budgets: Vec<u64>| {
