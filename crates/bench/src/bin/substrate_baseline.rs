@@ -43,8 +43,7 @@ use kyoto_sim::engine::{ExecSlot, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::shadow::ShadowAttribution;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
-use kyoto_sim::workload::{Op, Workload};
-use kyoto_workloads::interactive::Interactive;
+use kyoto_sim::workload::{ComputeOnly, Op, Workload};
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
 use std::hint::black_box;
 use std::iter::zip;
@@ -133,18 +132,13 @@ fn gcc(slots: usize, scale: u64) -> Vec<SpecWorkload> {
         .collect()
 }
 
-/// Four drained [`Interactive`] sleepers, whose streams are nothing but
-/// idle padding: the compute-op runs that dominate a host consolidating
-/// sleep-mostly VMs. The batched path retires those runs in one pass; the
-/// reference steps them one op at a time.
-fn sleepers(scale: u64) -> Vec<Interactive<SpecWorkload>> {
-    (0..4)
-        .map(|i| {
-            let mut sleeper = Interactive::new(SpecWorkload::new(SpecApp::Gcc, scale, i), 1);
-            sleeper.next_op();
-            sleeper
-        })
-        .collect()
+/// Four one-cycle compute streams that never block: the batched path
+/// fetches them 64 ops at a time and retires each run of compute ops in one
+/// pass, where the reference steps them one op at a time. (Drained
+/// sleepers, which want to block, retire a whole budget in one step, so a
+/// row of them would time only a call's fixed cost.)
+fn compute_runs() -> Vec<ComputeOnly> {
+    vec![ComputeOnly::new(1); 4]
 }
 
 /// An engine entry point (and trace switch) the engine rows time.
@@ -382,7 +376,7 @@ fn measure(config: &ExperimentConfig) -> Ledger {
     ledger.row("workload_fill_ops_lbm", "Mops/s", fill_rate(scale));
 
     // The engine on the single-socket machine: batched vs per-op reference
-    // vs the frozen seed path, then drained sleepers.
+    // vs the frozen seed path, then compute runs.
     let single = || MachineConfig::scaled_paper_machine(scale);
     let mut batched_vs_reference = Vec::new();
     let mut optimized_vs_seed = Vec::new();
@@ -398,12 +392,12 @@ fn measure(config: &ExperimentConfig) -> Ledger {
         optimized_vs_seed.push((format!("{slots}_slots"), batched / seed));
         untraced_4slots = batched;
     }
-    let batched = engine_rate(single(), &mut sleepers(scale), EnginePath::Batched);
-    let reference = engine_rate(single(), &mut sleepers(scale), EnginePath::Reference);
+    let batched = engine_rate(single(), &mut compute_runs(), EnginePath::Batched);
+    let reference = engine_rate(single(), &mut compute_runs(), EnginePath::Reference);
     for (path, rate) in zip(["batched", "reference"], [batched, reference]) {
-        ledger.row(format!("run_slots_{path}_4sleepers"), CYCLES, rate);
+        ledger.row(format!("run_slots_{path}_4compute"), CYCLES, rate);
     }
-    batched_vs_reference.push(("4_sleepers".to_string(), batched / reference));
+    batched_vs_reference.push(("4_compute".to_string(), batched / reference));
 
     // Trace-plane overhead on the 4-slot batched scenario: explicitly-off
     // tracing must be indistinguishable from the plain batched row

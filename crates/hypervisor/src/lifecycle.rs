@@ -90,7 +90,9 @@ pub struct WakeSource {
     /// Seed of the interrupt stream.
     pub seed: u64,
     /// Probability (clamped to `[0, 1]`) that a wake interrupt arrives for
-    /// a given vCPU in a given tick.
+    /// a given vCPU in a given tick. [`WakeSource::fires`] reads any value
+    /// that is not above 0, NaN included, as no interrupts and any value
+    /// of 1 or more as one every tick.
     pub interrupt_rate: f64,
     /// Scripted one-shot timer ticks (VM-local wake clock): a wake fires
     /// for every vCPU at exactly these ticks.
@@ -110,9 +112,14 @@ impl WakeSource {
         }
     }
 
-    /// Sets the per-tick wake-interrupt probability (clamped to `[0, 1]`).
+    /// Sets the per-tick wake-interrupt probability (clamped to `[0, 1]`;
+    /// NaN becomes 0).
     pub fn with_interrupt_rate(mut self, rate: f64) -> Self {
-        self.interrupt_rate = rate.clamp(0.0, 1.0);
+        self.interrupt_rate = if rate.is_nan() {
+            0.0
+        } else {
+            rate.clamp(0.0, 1.0)
+        };
         self
     }
 
@@ -138,7 +145,9 @@ impl WakeSource {
         if self.timer_period > 0 && wake_clock > 0 && wake_clock.is_multiple_of(self.timer_period) {
             return true;
         }
-        if self.interrupt_rate <= 0.0 {
+        // A NaN rate (the field is public) must not reach `gen_bool`, which
+        // panics outside `[0, 1]`.
+        if self.interrupt_rate.is_nan() || self.interrupt_rate <= 0.0 {
             return false;
         }
         if self.interrupt_rate >= 1.0 {
@@ -229,6 +238,36 @@ mod tests {
         for tick in 0..64 {
             assert!(!silent.fires(tick, 0));
             assert!(always.fires(tick, 0));
+        }
+    }
+
+    #[test]
+    fn nan_rates_never_fire_and_never_panic() {
+        let built = WakeSource::new(7).with_interrupt_rate(f64::NAN);
+        assert_eq!(
+            built.interrupt_rate, 0.0,
+            "with_interrupt_rate maps NaN to 0"
+        );
+        let mut set = WakeSource::new(7);
+        set.interrupt_rate = f64::NAN;
+        for source in [built, set] {
+            for tick in 0..64 {
+                for vcpu in 0..3 {
+                    assert!(!source.fires(tick, vcpu), "tick {tick} vcpu {vcpu}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finite_rates_keep_their_draws() {
+        // Ticks 0..32 of vCPU 1 at seed 7, one bit per tick (tick 0 lowest).
+        for (rate, expected) in [(0.1, 0x0020_0020), (0.5, 0x2421_f2a9), (0.9, 0xbf7f_fffb)] {
+            let source = WakeSource::new(7).with_interrupt_rate(rate);
+            let fired = (0..32).fold(0u32, |bits, tick| {
+                bits | u32::from(source.fires(tick, 1)) << tick
+            });
+            assert_eq!(fired, expected, "rate {rate}: {fired:#010x}");
         }
     }
 

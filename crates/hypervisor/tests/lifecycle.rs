@@ -25,10 +25,12 @@ use kyoto_hypervisor::lifecycle::{VcpuState, WakeSource};
 use kyoto_hypervisor::vm::{VcpuId, VmConfig, VmId};
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
-use kyoto_sim::workload::{ComputeOnly, Workload};
+use kyoto_sim::workload::{ComputeOnly, Op, Workload};
 use kyoto_workloads::interactive::Interactive;
 use kyoto_workloads::synthetic::Streaming;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const SCALE: u64 = 256;
 
@@ -397,5 +399,92 @@ fn cfs_vruntime_freezes_while_a_vcpu_is_blocked() {
     assert!(
         hv.scheduler().vruntime(busy) > busy_start,
         "the busy vCPU's vruntime does advance (sanity)"
+    );
+}
+
+/// Forwards every method, `wants_block` included, and counts `fill_ops`
+/// calls.
+struct CountingFetches<W> {
+    inner: W,
+    fetches: Arc<AtomicUsize>,
+}
+
+impl<W: Workload> Workload for CountingFetches<W> {
+    fn next_op(&mut self) -> Op {
+        self.inner.next_op()
+    }
+
+    fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
+        // A statistic that publishes nothing else.
+        self.fetches.fetch_add(1, Ordering::Relaxed);
+        self.inner.fill_ops(buf)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.inner.working_set_bytes()
+    }
+
+    fn mem_parallelism(&self) -> f64 {
+        self.inner.mem_parallelism()
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset()
+    }
+
+    fn wants_block(&self) -> bool {
+        self.inner.wants_block()
+    }
+
+    fn on_wake(&mut self) {
+        self.inner.on_wake()
+    }
+
+    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
+        self.inner.try_clone_box()
+    }
+}
+
+/// Once a sleeper's burst drains, the rest of its tick costs no fetch: a
+/// service woken every tick, alone on its core, fetches its 48-op burst
+/// (at most two 64-op chunks) and retires the tens of thousands of idle
+/// cycles after it in one step. Fetching the padding would cost hundreds
+/// of chunks per tick.
+#[test]
+fn a_drained_burst_fetches_no_idle_padding() {
+    const TICKS: u64 = 50;
+    let mut hv = xen(Machine::new(MachineConfig::scaled_paper_machine(512)));
+    let fetches = Arc::new(AtomicUsize::new(0));
+    let vm = hv
+        .add_vm_with(
+            VmConfig::new("svc")
+                .pinned_to(vec![CoreId(0)])
+                .with_wake_source(WakeSource::new(1).with_timer_period(1)),
+            Box::new(CountingFetches {
+                inner: Interactive::new(ComputeOnly::new(1), 48),
+                fetches: Arc::clone(&fetches),
+            }),
+        )
+        .expect("valid VM");
+    hv.run_ticks(TICKS);
+    let report = hv.report(vm).unwrap();
+    assert_eq!(
+        report.ticks_scheduled, TICKS,
+        "woken every tick, it runs every tick"
+    );
+    assert_eq!(
+        report.pmcs.instructions,
+        TICKS * hv.effective_cycles_per_tick(),
+        "every one-cycle op, idle or not, still retires an instruction"
+    );
+    let fetches = fetches.load(Ordering::Relaxed) as u64;
+    assert!(
+        fetches <= 2 * TICKS,
+        "{fetches} fetches in {TICKS} ticks of {} cycles",
+        hv.effective_cycles_per_tick()
     );
 }

@@ -39,6 +39,10 @@
 //! | `at E join C`          | [`ServiceRequest::JoinCell`] of cell `C`    |
 //! | `at E query`           | [`ServiceRequest::QueryTelemetry`]          |
 //!
+//! An epoch takes at most [`MAX_SCRIPTED_PER_EPOCH`] (1024) scripted
+//! entries, all served at one boundary, so no trace can make one boundary
+//! do work without bound.
+//!
 //! [`RequestTrace::parse`] ∘ [`RequestTrace::render`] is the identity, and
 //! `render` output is canonical (directives in the order above, scripted
 //! entries in list order), so byte-comparing rendered traces is a valid
@@ -48,6 +52,7 @@ use kyoto_cluster::events::draw_count;
 use kyoto_cluster::snapshot::CellId;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Current on-disk trace format version.
 pub const TRACE_VERSION: u32 = 1;
@@ -62,6 +67,11 @@ pub const MAX_RATE: f64 = 1024.0;
 /// rejects longer traces and [`RequestTrace::new`] clamps them. The longest
 /// trace any caller builds has 1,005 epochs.
 pub const MAX_EPOCHS: u64 = 1_000_000;
+
+/// Most scripted entries one epoch may hold. [`RequestTrace::parse`]
+/// rejects the entry past it and [`RequestTrace::new`] keeps the first
+/// ones in list order. The most any caller scripts at one epoch is 2.
+pub const MAX_SCRIPTED_PER_EPOCH: usize = 1024;
 
 /// One control-plane request, addressed to the service at an epoch
 /// boundary.
@@ -197,11 +207,16 @@ impl std::error::Error for TraceParseError {}
 
 impl RequestTrace {
     /// Creates a trace. Rates are clamped to `0..=`[`MAX_RATE`] (a NaN rate
-    /// becomes 0) and the length to [`MAX_EPOCHS`], so
+    /// becomes 0), the length to [`MAX_EPOCHS`], and each epoch's scripted
+    /// entries to the first [`MAX_SCRIPTED_PER_EPOCH`] in list order, so
     /// [`RequestTrace::parse`] accepts what [`RequestTrace::render`] makes
     /// of every trace.
     pub fn new(mut config: RequestTraceConfig) -> Self {
         config.epochs = config.epochs.min(MAX_EPOCHS);
+        let mut per_epoch = BTreeMap::new();
+        config
+            .scripted
+            .retain(|&(epoch, _)| within_epoch_limit(&mut per_epoch, epoch));
         for rate in [
             &mut config.place_rate,
             &mut config.depart_rate,
@@ -286,11 +301,13 @@ impl RequestTrace {
     /// [`TraceParseError::UnsupportedVersion`] when the first directive is
     /// not `version 1`; [`TraceParseError::MalformedLine`] for any line
     /// that is neither a directive, a scripted entry, a comment nor blank,
-    /// for a rate outside `0..=`[`MAX_RATE`], and for a length above
-    /// [`MAX_EPOCHS`].
+    /// for a rate outside `0..=`[`MAX_RATE`], for a length above
+    /// [`MAX_EPOCHS`], and for a scripted entry past the
+    /// [`MAX_SCRIPTED_PER_EPOCH`]th of its epoch.
     pub fn parse(text: &str) -> Result<RequestTrace, TraceParseError> {
         let mut config = RequestTraceConfig::new(0, 0);
         let mut saw_version = false;
+        let mut per_epoch = BTreeMap::new();
         for (number, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -366,6 +383,9 @@ impl RequestTrace {
                         }
                         _ => return Err(malformed()),
                     };
+                    if !within_epoch_limit(&mut per_epoch, epoch) {
+                        return Err(malformed());
+                    }
                     config.scripted.push((epoch, request));
                 }
                 _ => return Err(malformed()),
@@ -378,6 +398,14 @@ impl RequestTrace {
         }
         Ok(RequestTrace::new(config))
     }
+}
+
+/// Counts one more scripted entry at `epoch`; whether it is within
+/// [`MAX_SCRIPTED_PER_EPOCH`].
+fn within_epoch_limit(per_epoch: &mut BTreeMap<u64, usize>, epoch: u64) -> bool {
+    let entries = per_epoch.entry(epoch).or_insert(0);
+    *entries += 1;
+    *entries <= MAX_SCRIPTED_PER_EPOCH
 }
 
 #[cfg(test)]
@@ -571,5 +599,63 @@ mod tests {
             (MAX_RATE, 0.0, MAX_RATE)
         );
         assert_eq!(RequestTrace::parse(&trace.render()).unwrap(), trace);
+    }
+
+    /// `count` scripted queries at epoch 3, then one place at epoch 4.
+    fn crowded_epoch(count: usize) -> RequestTraceConfig {
+        let mut config = RequestTraceConfig::new(5, 8);
+        for _ in 0..count {
+            config = config.with_scripted(3, ServiceRequest::QueryTelemetry);
+        }
+        config.with_scripted(4, ServiceRequest::PlaceVm)
+    }
+
+    #[test]
+    fn max_scripted_per_epoch_parses_and_round_trips() {
+        let trace = RequestTrace::new(crowded_epoch(MAX_SCRIPTED_PER_EPOCH));
+        assert_eq!(trace.requests_for_epoch(3).len(), MAX_SCRIPTED_PER_EPOCH);
+        let text = trace.render();
+        let parsed = RequestTrace::parse(&text).unwrap();
+        assert_eq!(parsed, trace);
+        assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn the_entry_past_the_epoch_limit_is_rejected_by_line() {
+        let mut text = RequestTrace::new(crowded_epoch(MAX_SCRIPTED_PER_EPOCH)).render();
+        // The epoch-4 entry closes the text; one more epoch-3 entry after it
+        // is the 1025th of its epoch.
+        text.push_str("at 3 place\n");
+        let line = text.lines().count();
+        let err = RequestTrace::parse(&text).unwrap_err();
+        assert_eq!(
+            err,
+            TraceParseError::MalformedLine {
+                line,
+                text: "at 3 place".to_string()
+            }
+        );
+        assert!(err.to_string().contains(&format!("line {line}")));
+    }
+
+    #[test]
+    fn new_keeps_the_first_entries_of_a_crowded_epoch() {
+        let mut config = crowded_epoch(MAX_SCRIPTED_PER_EPOCH);
+        config
+            .scripted
+            .insert(1, (3, ServiceRequest::DrainCell(CellId(0))));
+        config
+            .scripted
+            .push((3, ServiceRequest::JoinCell(CellId(0))));
+        let trace = RequestTrace::new(config);
+        let epoch = trace.requests_for_epoch(3);
+        assert_eq!(epoch.len(), MAX_SCRIPTED_PER_EPOCH);
+        assert_eq!(epoch[1], ServiceRequest::DrainCell(CellId(0)));
+        assert!(!epoch.contains(&ServiceRequest::JoinCell(CellId(0))));
+        assert_eq!(trace.requests_for_epoch(4), vec![ServiceRequest::PlaceVm]);
+        let text = trace.render();
+        let parsed = RequestTrace::parse(&text).unwrap();
+        assert_eq!(parsed, trace);
+        assert_eq!(parsed.render(), text);
     }
 }

@@ -18,15 +18,18 @@
 //! each component's slots in epochs instead of re-scanning every slot per
 //! op. Only memory ops are ordering points: the furthest-behind slot runs
 //! until its next memory op would no longer be the earliest one, and every
-//! run of compute ops in between retires in one pass. Compute ops touch
-//! only their slot's own counters and memory ops still execute in the
-//! reference's `(cycle, slot index)` order within each socket, so the
-//! result is bit-identical to the per-op [`SimEngine::run_slots_reference`]
-//! path, which is kept as the semantic baseline for equivalence tests and
-//! benchmarks. The two entry points differ only in the executor:
-//! `run_slots` runs the components one after another on the calling
-//! thread against the whole machine, `run_slots_parallel` puts two or more
-//! of them on scoped threads, each against its own sockets' views.
+//! run of compute ops in between retires in one pass. A slot whose workload
+//! wants to block ([`Workload::wants_block`]), and so only idles, fetches
+//! nothing once its queue runs dry: the rest of its budget retires in one
+//! step. Compute ops touch only their slot's own counters and memory ops
+//! still execute in the reference's `(cycle, slot index)` order within
+//! each socket, so the result is bit-identical to the per-op
+//! [`SimEngine::run_slots_reference`] path, which is kept as the semantic
+//! baseline for equivalence tests and benchmarks. The two entry points
+//! differ only in the executor: `run_slots` runs the components one after
+//! another on the calling thread against the whole machine,
+//! `run_slots_parallel` puts two or more of them on scoped threads, each
+//! against its own sockets' views.
 
 use crate::cache::{OwnerId, ADDR_BITS};
 use crate::error::SimError;
@@ -34,7 +37,7 @@ use crate::hierarchy::{AccessKind, AccessOutcome};
 use crate::pmc::PmcSet;
 use crate::shadow::ShadowAttribution;
 use crate::topology::{AccessRoute, CoreId, Machine, NumaNode, SocketView};
-use crate::workload::{Op, Workload};
+use crate::workload::{Op, Workload, IDLE_OP};
 use kyoto_trace::TraceSink;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -131,11 +134,12 @@ impl QuantumReport {
 
 /// A batched op stream: ops prefetched from a workload in blocks of up to
 /// 64 and consumed in order, runs of compute ops in one pass and memory
-/// ops one at a time. It lives in its [`ExecSlot`], so the ops a call
-/// fetched but did not execute wait there and the stream continues
-/// exactly where it stopped on the next call — batching is invisible to
-/// the simulation semantics. Dropping a queue discards those ops (fewer
-/// than 64).
+/// ops one at a time; once it runs dry while the workload wants to block,
+/// the rest of the budget as idle ops in one step. It lives in its
+/// [`ExecSlot`], so the ops a call fetched but did not execute wait there
+/// and the stream continues exactly where it stopped on the next call —
+/// batching is invisible to the simulation semantics. Dropping a queue
+/// discards those ops (fewer than 64).
 #[derive(Debug, Default, Clone)]
 pub struct OpQueue {
     buf: Vec<Op>,
@@ -148,6 +152,10 @@ impl OpQueue {
     /// left unconsumed at the head. Returns `None` once the run reaches
     /// `cycle_budget`; the op that reaches it is retired. Each compute op
     /// costs `max(cycles, 1)` — the clamp of `execute_op`.
+    ///
+    /// When the queue runs dry and the workload wants to block, the rest of
+    /// the budget is idle ops of one cycle each: they retire in one step, and
+    /// the queue is left as fetching them chunk by chunk would leave it.
     #[inline]
     fn retire_compute_run(
         &mut self,
@@ -159,8 +167,14 @@ impl OpQueue {
         let mut consumed = start;
         let mut retired = 0u64;
         let memory_op = 'run: loop {
-            if self.head == self.buf.len() {
-                self.refill(workload);
+            // `consumed < cycle_budget` here: the caller only runs a lane
+            // below its budget, and the loop below stops at the budget.
+            if self.head == self.buf.len() && !self.refill(workload) {
+                let idle_ops = cycle_budget - consumed;
+                self.park_idle(idle_ops);
+                retired += idle_ops;
+                consumed = cycle_budget;
+                break 'run None;
             }
             for &op in &self.buf[self.head..] {
                 let Op::Compute { cycles } = op else {
@@ -180,7 +194,13 @@ impl OpQueue {
         memory_op
     }
 
-    fn refill(&mut self, workload: &mut dyn Workload) {
+    /// Fetches the next chunk of the stream, or returns `false` without
+    /// fetching when the workload wants to block, which promises idle ops
+    /// until its next wake: one question per refill, never one per op.
+    fn refill(&mut self, workload: &mut dyn Workload) -> bool {
+        if workload.wants_block() {
+            return false;
+        }
         self.buf.clear();
         self.buf.resize(OP_CHUNK, Op::Compute { cycles: 1 });
         self.head = 0;
@@ -190,6 +210,20 @@ impl OpQueue {
             // Defensive: a short-filling workload must still make progress.
             self.buf.push(workload.next_op());
         }
+        true
+    }
+
+    /// Leaves the queue as retiring `idle_ops` (at least 1) idle ops would
+    /// from an empty queue: `⌈idle_ops / 64⌉` chunks fetched, the last one
+    /// consumed up to the op that reached the budget. The head decides how
+    /// many idle ops run before the burst after the next wake. Out of line,
+    /// so the fetch loop of workloads that never block keeps its layout.
+    #[cold]
+    #[inline(never)]
+    fn park_idle(&mut self, idle_ops: u64) {
+        self.buf.clear();
+        self.buf.resize(OP_CHUNK, IDLE_OP);
+        self.head = ((idle_ops - 1) % OP_CHUNK as u64) as usize + 1;
     }
 }
 

@@ -53,6 +53,12 @@ impl Op {
     }
 }
 
+/// The op a workload emits while it waits for a wake: one cycle of
+/// computation. A workload whose [`Workload::wants_block`] holds emits
+/// nothing else until its next wake, so the engine retires runs of it by
+/// arithmetic.
+pub const IDLE_OP: Op = Op::Compute { cycles: 1 };
+
 /// A deterministic generator of micro-operations.
 ///
 /// Implementations must be deterministic for a given construction seed so
@@ -116,6 +122,14 @@ pub trait Workload: Send {
     /// should report the intent to block based on their own emission
     /// progress, and the default of `false` keeps every existing workload
     /// always runnable.
+    ///
+    /// `true` is also a promise about the stream: until the next
+    /// [`Workload::on_wake`] or [`Workload::reset`], every op it emits is
+    /// [`IDLE_OP`], and emitting them changes none of the workload's state.
+    /// The engine relies on it: once a slot's fetched ops run out while
+    /// this holds, it fetches nothing more and retires the rest of the
+    /// call's budget as idle ops in one step. It asks once per fetch, never
+    /// once per op.
     fn wants_block(&self) -> bool {
         false
     }

@@ -19,12 +19,20 @@
 //! memory ops, and long compute runs between memory bursts. The second
 //! covers the batched body's one-pass retirement of compute runs: runs that
 //! cross the 64-op fetch chunk and runs that end at the budget.
+//!
+//! Sleepers (a burst, then idle padding until a wake) pin the one-step
+//! retirement of idle runs: with `Workload::wants_block` shown, the batched
+//! body stops fetching once a drained sleeper's queue runs dry; with it
+//! hidden, it fetches and retires every idle op. Both must leave every
+//! counter, cache and op queue identical, call after call. (Only the
+//! hypervisor parks a vCPU on `wants_block`; these tests drive the engine
+//! alone.)
 
 use kyoto_sim::cache::OwnerId;
 use kyoto_sim::engine::{ExecSlot, OpQueue, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
-use kyoto_sim::workload::{Op, Workload};
+use kyoto_sim::workload::{Op, Workload, IDLE_OP};
 use kyoto_sim::{CacheStats, QuantumReport};
 use proptest::prelude::*;
 
@@ -144,6 +152,82 @@ impl Workload for BurstyWorkload {
     }
 }
 
+/// A sleep-mostly generator: `burst_ops` ops of an inner stream, then idle
+/// padding with `wants_block()` true until `on_wake` re-arms the burst.
+struct Sleeper {
+    inner: Box<dyn Workload>,
+    burst_ops: u32,
+    remaining: u32,
+}
+
+impl Workload for Sleeper {
+    fn next_op(&mut self) -> Op {
+        if self.remaining == 0 {
+            return IDLE_OP;
+        }
+        self.remaining -= 1;
+        self.inner.next_op()
+    }
+
+    fn name(&self) -> &str {
+        "sleeper"
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.inner.working_set_bytes()
+    }
+
+    fn mem_parallelism(&self) -> f64 {
+        self.inner.mem_parallelism()
+    }
+
+    fn wants_block(&self) -> bool {
+        self.remaining == 0
+    }
+
+    fn on_wake(&mut self) {
+        self.remaining = self.burst_ops;
+    }
+}
+
+/// Forwards every method except `wants_block`, which keeps its default
+/// `false`: the engine then fetches and retires every idle op one by one.
+struct HiddenBlock<W>(W);
+
+impl<W: Workload> Workload for HiddenBlock<W> {
+    fn next_op(&mut self) -> Op {
+        self.0.next_op()
+    }
+
+    fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
+        self.0.fill_ops(buf)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.0.working_set_bytes()
+    }
+
+    fn mem_parallelism(&self) -> f64 {
+        self.0.mem_parallelism()
+    }
+
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+
+    fn on_wake(&mut self) {
+        self.0.on_wake()
+    }
+
+    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
+        self.0.try_clone_box()
+    }
+}
+
 /// Which generator drives the workloads of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stream {
@@ -256,6 +340,32 @@ fn participants(scenario: &Scenario, call: usize) -> Vec<(usize, SlotSpec)> {
     }
 }
 
+/// Workload `w` of a run drawing from `stream`. Working sets straddle the
+/// LLC so hits, misses and cross-owner evictions all occur.
+fn stream_workload(stream: Stream, seed: u64, w: usize, llc_lines: u64) -> Box<dyn Workload> {
+    let seed = seed.wrapping_add(w as u64).wrapping_mul(0x9e3779b9) | 1;
+    let lines = llc_lines / 2 + (w as u64 + 1) * llc_lines / 3;
+    let mlp = 1.0 + w as f64 * 2.0;
+    match stream {
+        Stream::Mixed => Box::new(LcgWorkload::new(seed, lines, mlp)),
+        Stream::Bursty => Box::new(BurstyWorkload::new(seed, lines, mlp)),
+    }
+}
+
+/// An engine with shadow attribution as asked, on `sockets` sockets.
+/// `cloud_machine(1)` and `cloud_machine(2)` are exactly the paper's
+/// single-socket and two-socket machines; larger counts replicate the same
+/// per-socket geometry.
+fn engine_for(sockets: usize, shadow: bool) -> SimEngine {
+    let mut engine = SimEngine::new(Machine::new(MachineConfig::scaled_cloud_machine(
+        sockets, 256,
+    )));
+    if shadow {
+        engine.enable_shadow_attribution().unwrap();
+    }
+    engine
+}
+
 fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     let Scenario {
         seed,
@@ -265,28 +375,10 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
         stream,
         ..
     } = *scenario;
-    // `cloud_machine(1)` and `cloud_machine(2)` are exactly the paper's
-    // single-socket and two-socket machines; larger counts replicate the
-    // same per-socket geometry.
-    let config = MachineConfig::scaled_cloud_machine(sockets, 256);
-    let llc_lines = config.llc.num_lines();
-    let num_sockets = config.sockets;
-    let mut engine = SimEngine::new(Machine::new(config));
-    if shadow {
-        engine.enable_shadow_attribution().unwrap();
-    }
-    // Working sets straddle the LLC so hits, misses and cross-owner
-    // evictions all occur.
+    let mut engine = engine_for(sockets, shadow);
+    let llc_lines = engine.machine().config().llc.num_lines();
     let mut workloads: Vec<Box<dyn Workload>> = (0..workload_count)
-        .map(|w| -> Box<dyn Workload> {
-            let seed = seed.wrapping_add(w as u64).wrapping_mul(0x9e3779b9) | 1;
-            let lines = llc_lines / 2 + (w as u64 + 1) * llc_lines / 3;
-            let mlp = 1.0 + w as f64 * 2.0;
-            match stream {
-                Stream::Mixed => Box::new(LcgWorkload::new(seed, lines, mlp)),
-                Stream::Bursty => Box::new(BurstyWorkload::new(seed, lines, mlp)),
-            }
-        })
+        .map(|w| stream_workload(stream, seed, w, llc_lines))
         .collect();
     let mut pmcs = vec![PmcSet::default(); workload_count];
     // One op queue per workload, moved into its slot for each call and
@@ -323,6 +415,14 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
         }
     }
 
+    observe(&engine, reports, pmcs)
+}
+
+/// Everything observable after a run whose workloads accumulated `pmcs`,
+/// owned by owners 1 to `pmcs.len()`.
+fn observe(engine: &SimEngine, reports: Vec<Vec<QuantumReport>>, pmcs: Vec<PmcSet>) -> Observed {
+    let workload_count = pmcs.len();
+    let num_sockets = engine.machine().num_sockets();
     let mut llc_stats = Vec::with_capacity(num_sockets);
     let mut llc_occupancy = Vec::with_capacity(num_sockets);
     let mut llc_misses_of = Vec::with_capacity(num_sockets);
@@ -358,6 +458,83 @@ fn run_path(path: EnginePath, scenario: &Scenario) -> Observed {
     }
 }
 
+/// A run of sleepers, each on its own core of the two-socket machine, beside
+/// one steady `LcgWorkload` whose memory traffic they interleave with.
+#[derive(Debug, Clone)]
+struct SleeperScenario {
+    seed: u64,
+    /// The inner stream of every sleeper's bursts.
+    stream: Stream,
+    /// Per sleeper: its burst length, and whether it starts awake (else its
+    /// first call is idle from the first op).
+    sleepers: Vec<(u32, bool)>,
+    /// Per call: the budget, and which slots `on_wake` reaches before the
+    /// call (ignored before the first).
+    calls: Vec<(u64, Vec<bool>)>,
+    shadow: bool,
+}
+
+/// Runs a sleeper scenario with `wants_block` shown (`hinted`) or hidden
+/// behind [`HiddenBlock`]. Returns what the run observed and every slot's
+/// op queue, as `Debug` text, after every call.
+fn run_sleepers(
+    path: EnginePath,
+    hinted: bool,
+    scenario: &SleeperScenario,
+) -> (Observed, Vec<String>) {
+    let mut engine = engine_for(2, scenario.shadow);
+    let llc_lines = engine.machine().config().llc.num_lines();
+    let mut workloads: Vec<Box<dyn Workload>> = Vec::new();
+    for (w, &(burst_ops, awake)) in scenario.sleepers.iter().enumerate() {
+        let sleeper = Sleeper {
+            inner: stream_workload(scenario.stream, scenario.seed, w, llc_lines),
+            burst_ops,
+            remaining: if awake { burst_ops } else { 0 },
+        };
+        workloads.push(if hinted {
+            Box::new(sleeper)
+        } else {
+            Box::new(HiddenBlock(sleeper))
+        });
+    }
+    let steady = workloads.len();
+    workloads.push(stream_workload(
+        Stream::Mixed,
+        scenario.seed,
+        steady,
+        llc_lines,
+    ));
+    // Slot `w` on socket `w % 2`, and one owner per slot.
+    let mut slots: Vec<ExecSlot<'_>> = workloads
+        .iter_mut()
+        .enumerate()
+        .map(|(w, workload)| {
+            ExecSlot::new(
+                CoreId(w % 2 * 4 + w / 2),
+                w as OwnerId + 1,
+                workload.as_mut(),
+            )
+        })
+        .collect();
+    let mut reports = Vec::with_capacity(scenario.calls.len());
+    let mut queues = Vec::new();
+    for (call, (budget, wakes)) in scenario.calls.iter().enumerate() {
+        if call > 0 {
+            for (slot, _) in slots.iter_mut().zip(wakes).filter(|(_, &wake)| wake) {
+                slot.workload.on_wake();
+            }
+        }
+        reports.push(match path {
+            EnginePath::Batched => engine.run_slots(&mut slots, *budget),
+            EnginePath::Reference => engine.run_slots_reference(&mut slots, *budget),
+            EnginePath::Parallel => engine.run_slots_parallel(&mut slots, *budget),
+        });
+        queues.extend(slots.iter().map(|slot| format!("{:?}", slot.queue)));
+    }
+    let pmcs = slots.iter().map(|slot| slot.pmcs).collect();
+    (observe(&engine, reports, pmcs), queues)
+}
+
 /// A scenario of the mixed stream in which every owner has one workload.
 fn mixed(
     mode: Mode,
@@ -389,6 +566,10 @@ fn arb_mode() -> impl Strategy<Value = Mode> {
 
 fn arb_stream() -> impl Strategy<Value = Stream> {
     prop_oneof![Just(Stream::Mixed), Just(Stream::Bursty)]
+}
+
+fn arb_flag() -> impl Strategy<Value = bool> {
+    prop_oneof![Just(false), Just(true)]
 }
 
 proptest! {
@@ -506,6 +687,56 @@ proptest! {
         let batched = run_path(EnginePath::Batched, &scenario);
         let reference = run_path(EnginePath::Reference, &scenario);
         prop_assert_eq!(batched, reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Idle runs retire in one step exactly as fetched padding would: the
+    /// hinted and the hidden sleepers give identical reports, slot PMCs,
+    /// LLC statistics and per-owner counts, shadow misses and clock, and
+    /// identical op queues after every call, through both entry points,
+    /// with shadow attribution on and off and wakes on a random subset of
+    /// slots between calls. The queues are compared directly because a
+    /// wrong head only shows at the next wake, in how many leftover idle
+    /// ops run before the new burst. Budgets are `64k - 1`, `64k` and
+    /// `64k + 1`: a sleeper that starts asleep retires exactly its first
+    /// budget as idle ops, just below, on and just above a chunk boundary.
+    /// Without wakes between calls, the stream is what the per-op
+    /// reference steps through, so the hinted runs also equal it.
+    #[test]
+    fn idle_runs_retire_like_fetched_padding(
+        seed in 0u64..1_000_000,
+        stream in arb_stream(),
+        sleepers in prop::collection::vec((1u32..300, arb_flag()), 1..5),
+        calls in prop::collection::vec(
+            (1u64..160, 0u64..3, prop::collection::vec(arb_flag(), 5)),
+            2..6,
+        ),
+        shadow in arb_flag(),
+    ) {
+        let calls = calls
+            .into_iter()
+            .map(|(chunks, offset, wakes)| (64 * chunks + offset - 1, wakes))
+            .collect();
+        let scenario = SleeperScenario { seed, stream, sleepers, calls, shadow };
+        for path in [EnginePath::Batched, EnginePath::Parallel] {
+            prop_assert_eq!(
+                run_sleepers(path, true, &scenario),
+                run_sleepers(path, false, &scenario),
+                "{:?}",
+                path
+            );
+        }
+        let mut unwoken = scenario;
+        for (_, wakes) in &mut unwoken.calls {
+            wakes.fill(false);
+        }
+        let (reference, _) = run_sleepers(EnginePath::Reference, true, &unwoken);
+        for path in [EnginePath::Batched, EnginePath::Parallel] {
+            prop_assert_eq!(&run_sleepers(path, true, &unwoken).0, &reference, "{:?}", path);
+        }
     }
 }
 

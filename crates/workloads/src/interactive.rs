@@ -12,7 +12,7 @@
 //! owned by the VM's `WakeSource` (a `kyoto-hypervisor` concept), not by the
 //! workload.
 
-use kyoto_sim::workload::{Op, Workload};
+use kyoto_sim::workload::{Op, Workload, IDLE_OP};
 
 /// Wraps a workload into a burst-then-sleep interactive service.
 ///
@@ -24,11 +24,13 @@ use kyoto_sim::workload::{Op, Workload};
 /// Note on granularity: the engine prefetches ops in chunks ahead of
 /// execution, so a burst shorter than one tick's budget drains during the
 /// first scheduled tick and the vCPU runs exactly one tick per wake. Larger
-/// bursts simply span several consecutive ticks before the WFI. Padding is
-/// filled in bulk: a fetch past the end of the burst takes the rest of the
-/// burst from the inner model in one batch and fills the remainder with
-/// idle ops in one pass, and the engine retires runs of idle ops without
-/// interleaving them op by op.
+/// bursts simply span several consecutive ticks before the WFI. A fetch
+/// past the end of the burst takes the rest of the burst from the inner
+/// model in one batch and fills the remainder with idle ops in one pass.
+/// Once the burst has drained, [`Workload::wants_block`] holds and the
+/// stream is nothing but idle ops, so the engine fetches nothing more: when
+/// the fetched ops run out, it retires the rest of the tick's budget as
+/// idle ops in one step, with no host time per op.
 #[derive(Debug, Clone)]
 pub struct Interactive<W> {
     name: String,
@@ -66,15 +68,12 @@ impl<W: Workload> Interactive<W> {
     }
 }
 
-/// The idle op a drained burst pads fetches with.
-const IDLE: Op = Op::Compute { cycles: 1 };
-
 impl<W: Workload + Clone + 'static> Workload for Interactive<W> {
     fn next_op(&mut self) -> Op {
         if self.remaining == 0 {
             // The burst drained mid-fetch: pad the already-requested chunk
             // with idle compute. The vCPU blocks at the end of the tick.
-            return IDLE;
+            return IDLE_OP;
         }
         self.remaining -= 1;
         self.inner.next_op()
@@ -90,7 +89,7 @@ impl<W: Workload + Clone + 'static> Workload for Interactive<W> {
             // A finite inner stream ran short: the burst is not over.
             return filled;
         }
-        buf[burst..].fill(IDLE);
+        buf[burst..].fill(IDLE_OP);
         buf.len()
     }
 
@@ -107,6 +106,8 @@ impl<W: Workload + Clone + 'static> Workload for Interactive<W> {
     }
 
     fn wants_block(&self) -> bool {
+        // A drained burst emits only `IDLE_OP` and touches no state until
+        // `on_wake` or `reset` re-arms it.
         self.remaining == 0
     }
 

@@ -4,8 +4,13 @@
 //! The engine fetches every op through `fill_ops`, while figures and tests
 //! often step models with `next_op`, so a divergence would silently
 //! change simulated results.
+//!
+//! The idle promise of `wants_block` must also hold, because the engine
+//! stops fetching on it: a fetch made while it holds emits only `IDLE_OP`
+//! and changes no state, so after a wake the model continues exactly like
+//! a copy taken before the fetch.
 
-use kyoto_sim::workload::{Op, Workload};
+use kyoto_sim::workload::{Op, Workload, IDLE_OP};
 use kyoto_workloads::interactive::Interactive;
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
 use proptest::prelude::*;
@@ -13,12 +18,15 @@ use proptest::prelude::*;
 /// Feeds two copies of a model the same events: before each fetch an
 /// optional wake (`action` 0) or reset (`action` 1), then one `fill_ops`
 /// of `len` ops into `batched` and `len` `next_op` calls on `stepped`.
-fn check_contract<W: Workload>(
+/// A fetch made while `batched` wants to block is checked against a copy
+/// taken before it.
+fn check_contract<W: Workload + Clone>(
     mut batched: W,
     mut stepped: W,
     fetches: &[(usize, u32)],
 ) -> Result<(), TestCaseError> {
     let mut buf = vec![Op::Compute { cycles: 0 }; 130];
+    let mut after_wake = [vec![IDLE_OP; 130], vec![IDLE_OP; 130]];
     for (fetch, &(len, action)) in fetches.iter().enumerate() {
         match action {
             0 => {
@@ -31,6 +39,7 @@ fn check_contract<W: Workload>(
             }
             _ => {}
         }
+        let before = batched.wants_block().then(|| batched.clone());
         // Stale content the fetch must overwrite.
         let buf = &mut buf[..len];
         buf.fill(Op::Store { addr: u64::MAX });
@@ -43,6 +52,24 @@ fn check_contract<W: Workload>(
             "after fetch {}",
             fetch
         );
+        if let Some(mut before) = before {
+            prop_assert!(
+                buf.iter().all(|&op| op == IDLE_OP),
+                "fetch {} emitted work while idle",
+                fetch
+            );
+            let mut after = batched.clone();
+            for (model, ops) in [&mut before, &mut after].into_iter().zip(&mut after_wake) {
+                model.on_wake();
+                prop_assert_eq!(model.fill_ops(ops), ops.len());
+            }
+            prop_assert_eq!(
+                &after_wake[0],
+                &after_wake[1],
+                "the idle fetch {} changed the model",
+                fetch
+            );
+        }
     }
     Ok(())
 }
