@@ -30,6 +30,14 @@ pairs the change won (ties count for neither side), then one verdict:
 A regression whose every change run is worse than every parent run stands
 even where the spread is wide.
 
+The output ends with one JSON line that holds the same table: the
+workload, seed, pairs, run_seconds, the host's thread count and, per
+metric, each side's median, quartiles and interquartile range, the median
+per-pair ratio, the wins and the verdict. BENCH_e2e.json (schema
+kyoto-e2e-bench/v1) keeps such lines as the end-to-end trajectory: one
+entry per change, whose "workloads" object holds each workload's line
+as printed.
+
 Exit status: 0, or 1 when a run reports "correct": false or has no result
 line, when the change fails a larger share of its attempted operations,
 or when a verdict is "regression" or "claim not met"; 2 on bad arguments.
@@ -40,6 +48,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -132,15 +141,19 @@ def values(runs, name):
     return [float(run.get("metrics", {}).get(name, {}).get("value", float("nan"))) for run in runs]
 
 
-def report(metrics, parent_runs, change_runs, claim):
-    """Prints the comparison table; returns whether every check passed."""
+def report(metrics, parent_runs, change_runs, claim, header=None):
+    """Prints the comparison table, then the same table as one JSON line
+    that also holds `header`'s keys; returns whether every check passed."""
     ok = True
+    summary = dict(header or {})
+    summary["metrics"] = {}
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         incorrect = sum(not run.get("correct", False) for run in runs)
         if incorrect:
             print(f"FAILED: {incorrect} {side} run(s) not correct")
             ok = False
     shares = failed_share(parent_runs), failed_share(change_runs)
+    summary["failed_share"] = {"parent": shares[0], "change": shares[1]}
     print(f"failed share: parent {shares[0]:.6f}, change {shares[1]:.6f}")
     if shares[1] > shares[0]:
         print("FAILED: the change fails a larger share of its operations")
@@ -163,6 +176,17 @@ def report(metrics, parent_runs, change_runs, claim):
         print(f"{name:<12} {metric['unit']:<9} {parent_column:<30} {change_column:<30} "
               f"{statistics.median(ratios):>7.3f} {wins:>3}/{len(parent):<2}  {result} "
               f"(bound {metric['bound']}, parent spread {spread:.3f})")
+        summary["metrics"][name] = {
+            "unit": metric["unit"],
+            "parent": {"median": p_median, "q1": p_q1, "q3": p_q3, "iqr": p_q3 - p_q1},
+            "change": {"median": c_median, "q1": c_q1, "q3": c_q3, "iqr": c_q3 - c_q1},
+            "ratio_median": statistics.median(ratios),
+            "wins": wins,
+            "pairs": len(parent),
+            "verdict": result,
+        }
+    summary["ok"] = ok
+    print(json.dumps(summary, sort_keys=True))
     return ok
 
 
@@ -213,8 +237,21 @@ def selftest():
                 "metrics": {"sim_mips": {"value": value, "unit": "Minstr/s"}}}
 
     good = [run(True, 0, v) for v in parent]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert report([higher], good, [run(True, 0, 4 * v) for v in parent], "sim_mips",
+                      {"workload": "canned", "pairs": len(parent)})
+    # The output ends with its JSON line, which repeats the table.
+    line = json.loads(out.getvalue().splitlines()[-1])
+    assert line["workload"] == "canned" and line["ok"] is True, line
+    entry = line["metrics"]["sim_mips"]
+    assert entry["verdict"] == "claim met" and entry["wins"] == len(parent), entry
+    assert entry["parent"]["median"] == quartiles(parent)[1], entry
+    assert entry["change"]["median"] == 4 * quartiles(parent)[1], entry
+    q1, _, q3 = quartiles(parent)
+    assert entry["parent"]["iqr"] == q3 - q1, entry
+    assert line["failed_share"] == {"parent": 0.0, "change": 0.0}, line
     with contextlib.redirect_stdout(io.StringIO()):
-        assert report([higher], good, [run(True, 0, 4 * v) for v in parent], "sim_mips")
         # A higher failed share, an incorrect run, a regression: exit 1.
         assert not report([higher], good, [run(True, 1, 4 * v) for v in parent], "sim_mips")
         assert not report([higher], good, [run(False, 0, 4 * v) for v in parent], None)
@@ -264,7 +301,9 @@ def main():
             print(f"pair {pair + 1}/{args.pairs} {side}: correct={result.get('correct')} {line}",
                   flush=True)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s")
-    return 0 if report(metrics, parent_runs, change_runs, args.claim) else 1
+    header = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+              "run_seconds": seconds, "host_threads": os.cpu_count()}
+    return 0 if report(metrics, parent_runs, change_runs, args.claim, header) else 1
 
 
 if __name__ == "__main__":

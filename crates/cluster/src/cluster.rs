@@ -42,9 +42,9 @@
 //!
 //! [`Cluster::checkpoint`] deep-clones the entire fleet — machine state,
 //! hypervisors, in-flight arrivals, the retry queue, counters and history —
-//! into a [`FleetCheckpoint`];
-//! [`Cluster::restore`] rebuilds a cluster that resumes **bit-identically**
-//! (property-tested across policies and planner modes).
+//! into a [`FleetCheckpoint`], which wraps the copy;
+//! [`Cluster::restore`] hands the copy back, and it resumes
+//! **bit-identically** (property-tested across policies and planner modes).
 
 use crate::checkpoint::FleetCheckpoint;
 use crate::error::ClusterError;
@@ -580,6 +580,16 @@ fn build_cell_hv(config: &ClusterConfig, machine_config: &MachineConfig) -> Hype
     hv
 }
 
+/// `config` re-placed by the control plane: pinned to `core` of its cell,
+/// with no NUMA node (placement is the control plane's job).
+fn placed_on(config: VmConfig, core: usize) -> VmConfig {
+    VmConfig {
+        pinning: Some(vec![CoreId(core)]),
+        numa_node: None,
+        ..config
+    }
+}
+
 impl Cluster {
     /// Builds an empty cluster of `config.cells` identical cells.
     pub fn new(config: ClusterConfig) -> Self {
@@ -647,12 +657,23 @@ impl Cluster {
     }
 
     /// Advances the control-plane trace cursor by one event slot and
-    /// returns the new position — the timestamp an upper layer should
-    /// stamp on a control-plane instant it records via
-    /// [`Cluster::trace_mut`].
+    /// returns the new position — the timestamp an upper layer stamps on
+    /// a control-plane span it records via [`Cluster::trace_mut`].
+    /// Instants go through [`Cluster::control_instant`].
     pub fn trace_cursor_bump(&mut self) -> u64 {
         self.control_cursor += 1;
         self.control_cursor
+    }
+
+    /// Records a control-plane instant `name` on `track` at the next
+    /// control-cursor position, with the argument `arg` builds. With
+    /// tracing off it does nothing: the cursor stays put and `arg` is never
+    /// called. Pass `String::new` for an instant without an argument.
+    pub fn control_instant(&mut self, track: &str, name: &str, arg: impl FnOnce() -> String) {
+        if self.trace.is_enabled() {
+            let ts = self.trace_cursor_bump();
+            self.trace.instant_with(track, name, ts, arg());
+        }
     }
 
     /// The cluster configuration.
@@ -795,11 +816,7 @@ impl Cluster {
         let fleet = FleetVmId(self.next_fleet_id);
         let core = self.free_core(cell);
         let working_set_bytes = workload.working_set_bytes();
-        let config = VmConfig {
-            pinning: Some(vec![CoreId(core)]),
-            numa_node: None,
-            ..config.with_vcpus(1)
-        };
+        let config = placed_on(config.with_vcpus(1), core);
         let name = config.name.clone();
         let local = self.cells[cell.0]
             .hv
@@ -843,6 +860,54 @@ impl Cluster {
             .unwrap_or(used.len() % cores.max(1))
     }
 
+    /// The position of fleet VM `fleet` in `vms`.
+    fn vm_index(&self, fleet: FleetVmId) -> Result<usize, ClusterError> {
+        self.vms
+            .iter()
+            .position(|vm| vm.id == fleet)
+            .ok_or(ClusterError::UnknownVm { vm: fleet })
+    }
+
+    /// Takes the VM at `vms[index]` off its cell — the one path every VM
+    /// leaving a cell goes through (a migration, its rollback, a crash, a
+    /// departure). The cell's hypervisor extracts it (cache lines flushed,
+    /// workload state kept), and its totals there and the lines flushed are
+    /// charged to its lifetime counters. Afterwards the VM has no local id
+    /// until [`Cluster::send`] queues it on a cell.
+    ///
+    /// Departures and crashes extract only resident VMs, so a VM that is
+    /// not resident can only come from a migration plan, and it surfaces as
+    /// [`ClusterError::InvalidPlan`].
+    fn extract(&mut self, index: usize) -> Result<TakenVm, ClusterError> {
+        let vm = &mut self.vms[index];
+        let (fleet, cell) = (vm.id, vm.cell);
+        let local = vm.local.take().ok_or_else(|| ClusterError::InvalidPlan {
+            reason: format!("move of {fleet:?}: VM is not resident"),
+        })?;
+        let taken = self.cells[cell.0]
+            .hv
+            .take_vm(local)
+            .map_err(|source| ClusterError::Hypervisor { cell, source })?;
+        let vm = &mut self.vms[index];
+        vm.carried = vm.carried.plus(Totals::of(&taken.report));
+        vm.flushed_lines += taken.flushed_lines;
+        Ok(taken)
+    }
+
+    /// Sends the extracted VM at `vms[index]` to `cell`, pinned to `core` —
+    /// the one path every VM joining a cell from elsewhere goes through (a
+    /// migration, its rollback, a re-admitted orphan). It arrives at the
+    /// start of the next epoch, after the downtime blackout.
+    fn send(&mut self, index: usize, mut taken: TakenVm, cell: CellId, core: usize) {
+        taken.config = placed_on(taken.config, core);
+        let vm = &mut self.vms[index];
+        vm.cell = cell;
+        vm.core = core;
+        vm.orphaned = false;
+        let fleet = vm.id;
+        self.cells[cell.0].arrivals.push(Arrival { fleet, taken });
+    }
+
     /// Runs one epoch: the fault boundary fires first (recoveries, then the
     /// [`FaultPlan`]'s faults, then the orphan retry queue), every cell
     /// executes `epoch_ticks` (serially or on scoped threads,
@@ -858,6 +923,12 @@ impl Cluster {
     /// planner emits a plan that fails validation — both indicate control-
     /// plane bugs, surfaced instead of panicking the fleet.
     pub fn run_epoch(&mut self) -> Result<&EpochReport, ClusterError> {
+        self.run_epoch_after(EventCounts::default())
+    }
+
+    /// The body of [`Cluster::run_epoch`]; `events` is what the boundary's
+    /// fleet-dynamics events did, recorded in the epoch's report.
+    fn run_epoch_after(&mut self, events: EventCounts) -> Result<&EpochReport, ClusterError> {
         // Realign the control-plane clock to this epoch's window. Events
         // recorded *before* this boundary (fleet dynamics, service
         // admissions) keep their earlier positions, so the cursor stays
@@ -924,7 +995,7 @@ impl Cluster {
                 })
                 .collect(),
             migrations: plan.moves,
-            events: EventCounts::default(),
+            events,
             faults,
         });
         self.record_boundary_trace();
@@ -1109,11 +1180,7 @@ impl Cluster {
         for &event in events {
             self.apply_event(event, spawn, &mut counts)?;
         }
-        self.run_epoch()?;
-        // kyoto-lint: allow(cluster-no-panic): run_epoch just pushed a report, so both last() calls are infallible
-        self.history.last_mut().expect("just pushed").events = counts;
-        // kyoto-lint: allow(cluster-no-panic): same push as the line above — the report exists
-        Ok(self.history.last().expect("just pushed"))
+        self.run_epoch_after(counts)
     }
 
     /// Runs `epochs` epochs under `schedule`, applying each epoch's events
@@ -1149,15 +1216,7 @@ impl Cluster {
                 if !self.cells[cell.0].draining {
                     self.cells[cell.0].draining = true;
                     counts.drains += 1;
-                    if self.trace.is_enabled() {
-                        let ts = self.trace_cursor_bump();
-                        self.trace.instant_with(
-                            "cluster",
-                            "cluster.drain",
-                            ts,
-                            format!("cell={}", cell.0),
-                        );
-                    }
+                    self.control_instant("cluster", "cluster.drain", || format!("cell={}", cell.0));
                 }
             }
             FleetEvent::CellJoin(cell) => {
@@ -1169,24 +1228,13 @@ impl Cluster {
                 if self.cells[cell.0].draining {
                     self.cells[cell.0].draining = false;
                     counts.joins += 1;
-                    if self.trace.is_enabled() {
-                        let ts = self.trace_cursor_bump();
-                        self.trace.instant_with(
-                            "cluster",
-                            "cluster.join",
-                            ts,
-                            format!("cell={}", cell.0),
-                        );
-                    }
+                    self.control_instant("cluster", "cluster.join", || format!("cell={}", cell.0));
                 }
             }
             FleetEvent::VmDeparture { pick } => {
                 if self.depart_vm(pick)? {
                     counts.departures += 1;
-                    if self.trace.is_enabled() {
-                        let ts = self.trace_cursor_bump();
-                        self.trace.instant("cluster", "cluster.depart", ts);
-                    }
+                    self.control_instant("cluster", "cluster.depart", String::new);
                 }
             }
             FleetEvent::VmArrival => {
@@ -1198,23 +1246,14 @@ impl Cluster {
                         self.add_vm(cell, config, workload)?;
                         counts.arrivals += 1;
                         self.total_arrivals += 1;
-                        if self.trace.is_enabled() {
-                            let ts = self.trace_cursor_bump();
-                            self.trace.instant_with(
-                                "cluster",
-                                "cluster.arrival",
-                                ts,
-                                format!("cell={}", cell.0),
-                            );
-                        }
+                        self.control_instant("cluster", "cluster.arrival", || {
+                            format!("cell={}", cell.0)
+                        });
                     }
                     None => {
                         counts.rejected_arrivals += 1;
                         self.rejected_arrivals += 1;
-                        if self.trace.is_enabled() {
-                            let ts = self.trace_cursor_bump();
-                            self.trace.instant("cluster", "cluster.reject_arrival", ts);
-                        }
+                        self.control_instant("cluster", "cluster.reject_arrival", String::new);
                     }
                 }
             }
@@ -1271,15 +1310,9 @@ impl Cluster {
             // entry along with it.
             self.retry.retain(|orphan| orphan.fleet != fleet);
         } else {
-            // kyoto-lint: allow(cluster-no-panic): the candidate filter admits only resident-or-orphaned VMs and this is the non-orphaned branch, so `local` is Some
-            let local = self.vms[index].local.take().expect("resident VM");
-            let cell = self.vms[index].cell;
             // Extraction flushes the VM's cache lines at the source; the
             // pieces leave the fleet, so nothing is re-admitted anywhere.
-            let _ = self.cells[cell.0]
-                .hv
-                .take_vm(local)
-                .map_err(|source| ClusterError::Hypervisor { cell, source })?;
+            self.extract(index)?;
         }
         self.vms.remove(index);
         self.departed.push(report);
@@ -1428,43 +1461,15 @@ impl Cluster {
                 }
                 Some(at @ (AbortPoint::InFlight | AbortPoint::Dest)) => {
                     // The protocol got as far as extraction, so the rollback
-                    // re-admits the VM on its *source* cell: it pays the
-                    // blackout and arrives with a cold cache — all the cost
-                    // of a migration with none of the benefit. The move
-                    // never completed, so `migrations` is not incremented.
-                    let index = self
-                        .vms
-                        .iter()
-                        .position(|vm| vm.id == mv.vm)
-                        .ok_or(ClusterError::UnknownVm { vm: mv.vm })?;
-                    let local =
-                        self.vms[index]
-                            .local
-                            .take()
-                            .ok_or_else(|| ClusterError::InvalidPlan {
-                                reason: format!("move of {:?}: VM is not resident", mv.vm),
-                            })?;
-                    let mut taken = self.cells[mv.from.0].hv.take_vm(local).map_err(|source| {
-                        ClusterError::Hypervisor {
-                            cell: mv.from,
-                            source,
-                        }
-                    })?;
+                    // re-admits the VM on its *source* cell and core: it
+                    // pays the blackout and arrives with a cold cache — all
+                    // the cost of a migration with none of the benefit. The
+                    // move never completed, so `migrations` is not
+                    // incremented.
+                    let index = self.vm_index(mv.vm)?;
+                    let taken = self.extract(index)?;
                     let core = self.vms[index].core;
-                    {
-                        let vm = &mut self.vms[index];
-                        vm.carried = vm.carried.plus(Totals::of(&taken.report));
-                        vm.flushed_lines += taken.flushed_lines;
-                    }
-                    taken.config = VmConfig {
-                        pinning: Some(vec![CoreId(core)]),
-                        numa_node: None,
-                        ..taken.config
-                    };
-                    self.cells[mv.from.0].arrivals.push(Arrival {
-                        fleet: mv.vm,
-                        taken,
-                    });
+                    self.send(index, taken, mv.from, core);
                     if at == AbortPoint::Dest {
                         // The destination had already committed its blackout
                         // window: it stalls for a handshake it got nothing
@@ -1476,44 +1481,11 @@ impl Cluster {
                     }
                 }
                 None => {
-                    let index = self
-                        .vms
-                        .iter()
-                        .position(|vm| vm.id == mv.vm)
-                        .ok_or(ClusterError::UnknownVm { vm: mv.vm })?;
-                    let local =
-                        self.vms[index]
-                            .local
-                            .take()
-                            .ok_or_else(|| ClusterError::InvalidPlan {
-                                reason: format!("move of {:?}: VM is not resident", mv.vm),
-                            })?;
-                    let mut taken = self.cells[mv.from.0].hv.take_vm(local).map_err(|source| {
-                        ClusterError::Hypervisor {
-                            cell: mv.from,
-                            source,
-                        }
-                    })?;
+                    let index = self.vm_index(mv.vm)?;
+                    let taken = self.extract(index)?;
                     let core = self.free_core(mv.to);
-                    {
-                        let vm = &mut self.vms[index];
-                        vm.carried = vm.carried.plus(Totals::of(&taken.report));
-                        vm.cell = mv.to;
-                        vm.core = core;
-                        vm.migrations += 1;
-                        vm.flushed_lines += taken.flushed_lines;
-                    }
-                    // Re-place for the destination cell; everything else the
-                    // source extracted travels as-is through the admit path.
-                    taken.config = VmConfig {
-                        pinning: Some(vec![CoreId(core)]),
-                        numa_node: None,
-                        ..taken.config
-                    };
-                    self.cells[mv.to.0].arrivals.push(Arrival {
-                        fleet: mv.vm,
-                        taken,
-                    });
+                    self.vms[index].migrations += 1;
+                    self.send(index, taken, mv.to, core);
                     completed += 1;
                 }
             }
@@ -1547,15 +1519,7 @@ impl Cluster {
                 // hypervisor was rebuilt fresh at crash time).
                 self.cells[index].down_until = None;
                 counts.recoveries += 1;
-                if self.trace.is_enabled() {
-                    let ts = self.trace_cursor_bump();
-                    self.trace.instant_with(
-                        "cluster",
-                        "cluster.recover",
-                        ts,
-                        format!("cell={index}"),
-                    );
-                }
+                self.control_instant("cluster", "cluster.recover", || format!("cell={index}"));
             }
             if self.cells[index]
                 .slow_until
@@ -1590,15 +1554,9 @@ impl Cluster {
                     victim.hv.set_cycle_budget_divisor(params.slowdown_factor);
                     victim.slow_until = Some(epoch + params.slowdown_epochs);
                     counts.slowdowns += 1;
-                    if self.trace.is_enabled() {
-                        let ts = self.trace_cursor_bump();
-                        self.trace.instant_with(
-                            "cluster",
-                            "cluster.slowdown",
-                            ts,
-                            format!("cell={victim_index} factor={}", params.slowdown_factor),
-                        );
-                    }
+                    self.control_instant("cluster", "cluster.slowdown", || {
+                        format!("cell={victim_index} factor={}", params.slowdown_factor)
+                    });
                 }
                 FaultEvent::MigrationAbort { pick, at } => aborts.push((pick, at)),
             }
@@ -1623,11 +1581,7 @@ impl Cluster {
     ) -> Result<(), ClusterError> {
         let epoch = self.epoch;
         counts.crashes += 1;
-        if self.trace.is_enabled() {
-            let ts = self.trace_cursor_bump();
-            self.trace
-                .instant_with("cluster", "cluster.crash", ts, format!("cell={}", cell.0));
-        }
+        self.control_instant("cluster", "cluster.crash", || format!("cell={}", cell.0));
         let residents: Vec<usize> = self
             .vms
             .iter()
@@ -1636,22 +1590,11 @@ impl Cluster {
             .map(|(index, _)| index)
             .collect();
         for index in residents {
-            // kyoto-lint: allow(cluster-no-panic): the residents filter above selected only VMs with `local.is_some()`
-            let local = self.vms[index].local.take().expect("resident VM");
-            let taken = self.cells[cell.0]
-                .hv
-                .take_vm(local)
-                .map_err(|source| ClusterError::Hypervisor { cell, source })?;
-            let fleet = {
-                let vm = &mut self.vms[index];
-                vm.carried = vm.carried.plus(Totals::of(&taken.report));
-                vm.flushed_lines += taken.flushed_lines;
-                vm.orphaned = true;
-                vm.id
-            };
+            let taken = self.extract(index)?;
+            self.vms[index].orphaned = true;
             counts.orphaned += 1;
             self.retry.push(Orphan {
-                fleet,
+                fleet: self.vms[index].id,
                 taken,
                 crashed_at: epoch,
                 attempts: 0,
@@ -1701,36 +1644,14 @@ impl Cluster {
             match self.admission_cell() {
                 Some(cell) => {
                     let orphan = self.retry.remove(index);
+                    let vm = self.vm_index(orphan.fleet)?;
                     let core = self.free_core(cell);
-                    let mut taken = orphan.taken;
-                    taken.config = VmConfig {
-                        pinning: Some(vec![CoreId(core)]),
-                        numa_node: None,
-                        ..taken.config
-                    };
-                    let vm = self
-                        .vms
-                        .iter_mut()
-                        .find(|vm| vm.id == orphan.fleet)
-                        .ok_or(ClusterError::UnknownVm { vm: orphan.fleet })?;
-                    vm.cell = cell;
-                    vm.core = core;
-                    vm.orphaned = false;
-                    self.cells[cell.0].arrivals.push(Arrival {
-                        fleet: orphan.fleet,
-                        taken,
-                    });
+                    self.send(vm, orphan.taken, cell, core);
                     counts.readmitted += 1;
                     self.readmission_latency_epochs += epoch - orphan.crashed_at;
-                    if self.trace.is_enabled() {
-                        let ts = self.trace_cursor_bump();
-                        self.trace.instant_with(
-                            "cluster",
-                            "cluster.readmit",
-                            ts,
-                            format!("vm={} cell={}", orphan.fleet.0, cell.0),
-                        );
-                    }
+                    self.control_instant("cluster", "cluster.readmit", || {
+                        format!("vm={} cell={}", orphan.fleet.0, cell.0)
+                    });
                 }
                 None => {
                     self.retry[index].attempts += 1;
@@ -1739,37 +1660,21 @@ impl Cluster {
                         let report = self
                             .report(orphan.fleet)
                             .ok_or(ClusterError::UnknownVm { vm: orphan.fleet })?;
-                        let position = self
-                            .vms
-                            .iter()
-                            .position(|vm| vm.id == orphan.fleet)
-                            .ok_or(ClusterError::UnknownVm { vm: orphan.fleet })?;
+                        let position = self.vm_index(orphan.fleet)?;
                         self.vms.remove(position);
                         self.departed.push(report);
                         counts.rejected_orphans += 1;
-                        if self.trace.is_enabled() {
-                            let ts = self.trace_cursor_bump();
-                            self.trace.instant_with(
-                                "cluster",
-                                "cluster.reject_orphan",
-                                ts,
-                                format!("vm={}", orphan.fleet.0),
-                            );
-                        }
+                        self.control_instant("cluster", "cluster.reject_orphan", || {
+                            format!("vm={}", orphan.fleet.0)
+                        });
                     } else {
                         let attempts = self.retry[index].attempts;
                         self.retry[index].next_attempt = epoch + (1u64 << attempts.min(6));
                         counts.retry_backoffs += 1;
-                        if self.trace.is_enabled() {
-                            let vm = self.retry[index].fleet.0;
-                            let ts = self.trace_cursor_bump();
-                            self.trace.instant_with(
-                                "cluster",
-                                "cluster.retry_backoff",
-                                ts,
-                                format!("vm={vm}"),
-                            );
-                        }
+                        let vm = self.retry[index].fleet.0;
+                        self.control_instant("cluster", "cluster.retry_backoff", || {
+                            format!("vm={vm}")
+                        });
                         index += 1;
                     }
                 }
@@ -1854,7 +1759,8 @@ impl Cluster {
 
     /// Deep-copies the entire fleet — machine state, hypervisors, in-flight
     /// arrivals, the retry queue, counters and history — into a
-    /// [`FleetCheckpoint`]. [`Cluster::restore`] resumes bit-identically.
+    /// [`FleetCheckpoint`] that wraps the copy. [`Cluster::restore`] resumes
+    /// bit-identically.
     ///
     /// # Errors
     ///
@@ -1898,8 +1804,9 @@ impl Cluster {
                     .ok_or(ClusterError::UncloneableVm { vm: orphan.fleet })?,
             );
         }
-        Ok(FleetCheckpoint {
+        Ok(FleetCheckpoint(Cluster {
             config: self.config,
+            planner: self.planner,
             cells,
             vms: self.vms.clone(),
             departed: self.departed.clone(),
@@ -1918,36 +1825,15 @@ impl Cluster {
             freq_khz: self.freq_khz,
             trace: self.trace.clone(),
             control_cursor: self.control_cursor,
-        })
+        }))
     }
 
-    /// Rebuilds a cluster from a [`FleetCheckpoint`]. The restored cluster
-    /// resumes **bit-identically**: `run(k)` equals
+    /// Resumes the cluster a [`FleetCheckpoint`] copied. The restored
+    /// cluster resumes **bit-identically**: `run(k)` equals
     /// `restore(checkpoint(run(j))).run(k - j)` for every `j <= k`
     /// (property-tested across policies and planner modes).
     pub fn restore(checkpoint: FleetCheckpoint) -> Cluster {
-        Cluster {
-            planner: MigrationPlanner::new(checkpoint.config.planner),
-            config: checkpoint.config,
-            cells: checkpoint.cells,
-            vms: checkpoint.vms,
-            departed: checkpoint.departed,
-            retry: checkpoint.retry,
-            faults: checkpoint.faults,
-            next_fleet_id: checkpoint.next_fleet_id,
-            arrival_index: checkpoint.arrival_index,
-            epoch: checkpoint.epoch,
-            total_migrations: checkpoint.total_migrations,
-            total_arrivals: checkpoint.total_arrivals,
-            total_departures: checkpoint.total_departures,
-            rejected_arrivals: checkpoint.rejected_arrivals,
-            total_faults: checkpoint.total_faults,
-            readmission_latency_epochs: checkpoint.readmission_latency_epochs,
-            history: checkpoint.history,
-            freq_khz: checkpoint.freq_khz,
-            trace: checkpoint.trace,
-            control_cursor: checkpoint.control_cursor,
-        }
+        checkpoint.0
     }
 
     /// The fleet-wide report of one VM.

@@ -1,8 +1,8 @@
 //! Integration tests of the fault-injection and recovery subsystem: cell
 //! crashes and reboots, the orphan retry queue (re-admission, backoff,
 //! rejection), mid-migration aborts at all three protocol points, crash
-//! interactions with churn and maintenance drains, and the checkpoint
-//! error paths.
+//! interactions with churn and maintenance drains, and checkpoints: their
+//! error paths, and a restored copy that reads like the original.
 //!
 //! Everything here uses *scripted* faults so each scenario is exact; the
 //! seeded-rate streams are covered by the property tests.
@@ -523,6 +523,95 @@ fn checkpoint_round_trips_mid_crash() {
     assert_eq!(cluster.history(), restored.history());
     assert_eq!(cluster.total_faults(), restored.total_faults());
     cluster.verify_conservation().unwrap();
+    restored.verify_conservation().unwrap();
+}
+
+/// Every read-only accessor of `restored` answers as `original`'s does.
+fn assert_reads_alike(original: &Cluster, restored: &Cluster) {
+    use kyoto_trace::TraceDoc;
+    assert_eq!(restored.epoch(), original.epoch());
+    assert_eq!(restored.total_migrations(), original.total_migrations());
+    assert_eq!(restored.total_arrivals(), original.total_arrivals());
+    assert_eq!(restored.total_departures(), original.total_departures());
+    assert_eq!(restored.rejected_arrivals(), original.rejected_arrivals());
+    assert_eq!(restored.total_faults(), original.total_faults());
+    assert_eq!(restored.orphan_count(), original.orphan_count());
+    assert_eq!(
+        restored.mean_readmission_latency_epochs(),
+        original.mean_readmission_latency_epochs()
+    );
+    assert_eq!(
+        restored.total_flushed_lines(),
+        original.total_flushed_lines()
+    );
+    assert_eq!(restored.all_reports(), original.all_reports());
+    assert_eq!(restored.occupancies(), original.occupancies());
+    assert_eq!(restored.snapshot(), original.snapshot());
+    assert_eq!(restored.history(), original.history());
+    assert_eq!(
+        TraceDoc::from_sink(restored.trace()).render(),
+        TraceDoc::from_sink(original.trace()).render()
+    );
+}
+
+/// A restored checkpoint reads exactly like the cluster it copied, before
+/// either runs another epoch. It is taken on a traced, churning, faulted
+/// fleet while a cell is down, after completed and aborted migrations and
+/// a re-admission, with orphans still waiting for a retry, so a field the
+/// copy left out shows in some accessor.
+#[test]
+fn a_restored_checkpoint_reads_like_the_original() {
+    use kyoto_cluster::events::{EventSchedule, EventScheduleConfig};
+    use kyoto_cluster::TraceConfig;
+    let config = ClusterConfig::new(3, SCALE)
+        .with_epoch_ticks(3)
+        .with_planner(PlannerConfig::default().with_max_moves(3))
+        .with_trace(TraceConfig::On);
+    let mut cluster = Cluster::new(config);
+    for i in 0..6 {
+        cluster
+            .add_vm(
+                CellId(0),
+                VmConfig::new(format!("vm{i}")),
+                workload(0xc0 + i),
+            )
+            .unwrap();
+    }
+    cluster.install_faults(FaultPlan::new(
+        FaultPlanConfig::new(0x5eed)
+            .with_abort_rate(0.5)
+            .with_down_epochs(4)
+            .with_scripted(2, FaultEvent::CellCrash { pick: 0 })
+            .with_scripted(6, FaultEvent::CellCrash { pick: 1 }),
+    ));
+    let schedule = EventSchedule::new(
+        EventScheduleConfig::new(0xc4)
+            .with_arrival_rate(0.6)
+            .with_departure_rate(0.3),
+    );
+    let mut spawn = |index: u64| (VmConfig::new(format!("arrival{index}")), workload(index));
+    let mid_crash = |cluster: &Cluster| {
+        let faults = cluster.total_faults();
+        cluster.orphan_count() > 0
+            && faults.readmitted > 0
+            && faults.aborted_migrations() > 0
+            && cluster.total_migrations() > 0
+            && cluster.total_departures() > 0
+            && (0..cluster.num_cells()).any(|cell| cluster.is_down(CellId(cell)))
+    };
+    let mut epochs = 0;
+    while !mid_crash(&cluster) {
+        assert!(
+            epochs < 12,
+            "the scenario never reached its mid-crash state"
+        );
+        cluster
+            .run_epochs_with_schedule(&schedule, 1, &mut spawn)
+            .unwrap();
+        epochs += 1;
+    }
+    let restored = Cluster::restore(cluster.checkpoint().unwrap());
+    assert_reads_alike(&cluster, &restored);
     restored.verify_conservation().unwrap();
 }
 

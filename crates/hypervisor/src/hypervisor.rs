@@ -14,7 +14,6 @@ use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine};
 use kyoto_sim::workload::Workload;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -35,6 +34,10 @@ pub enum HypervisorError {
         /// The offending core index.
         core: usize,
     },
+    /// A VM configuration's pinning list is `Some` but names no core.
+    /// ([`VmConfig::pinned_to`] with an empty list leaves a VM unpinned;
+    /// only a direct write to the public `pinning` field gets here.)
+    EmptyPinning,
     /// The referenced VM does not exist.
     UnknownVm {
         /// The VM id.
@@ -62,6 +65,7 @@ impl fmt::Display for HypervisorError {
             HypervisorError::InvalidPinning { core } => {
                 write!(f, "vCPU pinned to non-existent core {core}")
             }
+            HypervisorError::EmptyPinning => write!(f, "VM pinned to an empty core list"),
             HypervisorError::UnknownVm { vm } => write!(f, "unknown VM {vm}"),
             HypervisorError::UncloneableWorkload { vcpu } => {
                 write!(f, "workload of vCPU {vcpu:?} does not support cloning")
@@ -367,7 +371,9 @@ impl<S: Scheduler> Hypervisor<S> {
     ///
     /// Returns [`HypervisorError::WorkloadCountMismatch`] when the number of
     /// workloads differs from `config.vcpus`,
-    /// [`HypervisorError::InvalidPinning`] when a pinned core does not exist,
+    /// [`HypervisorError::EmptyPinning`] when `config.pinning` is an empty
+    /// list, [`HypervisorError::InvalidPinning`] when a pinned core does not
+    /// exist,
     /// and [`HypervisorError::VmIdsExhausted`] once ids 1 to 65535 have all
     /// been handed out (each id is issued at most once).
     pub fn add_vm(
@@ -382,6 +388,9 @@ impl<S: Scheduler> Hypervisor<S> {
             });
         }
         if let Some(pinning) = &config.pinning {
+            if pinning.is_empty() {
+                return Err(HypervisorError::EmptyPinning);
+            }
             let num_cores = self.engine.machine().num_cores();
             if let Some(core) = pinning.iter().find(|c| c.0 >= num_cores) {
                 return Err(HypervisorError::InvalidPinning { core: core.0 });
@@ -599,34 +608,43 @@ impl<S: Scheduler> Hypervisor<S> {
         // Phase 1: placement. Ask the scheduler, core by core, which vCPU
         // runs next. A vCPU runs on at most one core per tick. Blocked
         // vCPUs are filtered out here: the scheduler only ever sees
-        // runnable candidates.
-        let cores: Vec<CoreId> = self.engine.machine().cores().collect();
-        let mut placed: HashSet<VcpuId> = HashSet::new();
-        let mut assignment: Vec<(CoreId, VcpuId)> = Vec::new();
-        for &core in &cores {
-            let candidates: Vec<VcpuId> = self
+        // runnable candidates. Every vCPU has one flat index in VM order,
+        // and `placed` records the core it runs on this tick.
+        let num_vcpus = self.vms.iter().map(|vm| vm.vcpus.len()).sum();
+        let mut placed: Vec<Option<CoreId>> = vec![None; num_vcpus];
+        let mut picks: Vec<(CoreId, VcpuId)> = Vec::new();
+        let mut candidates: Vec<VcpuId> = Vec::new();
+        let mut candidate_flat: Vec<usize> = Vec::new();
+        for core in (0..self.engine.machine().num_cores()).map(CoreId) {
+            candidates.clear();
+            candidate_flat.clear();
+            let vcpus = self
                 .vms
                 .iter()
-                .flat_map(|vm| {
-                    let config = &vm.config;
-                    vm.vcpus.iter().filter_map(move |vcpu| {
-                        let allowed = match config.pinned_core(vcpu.id.index) {
-                            Some(pinned) => pinned == core,
-                            None => true,
-                        };
-                        (allowed && vcpu.state.is_runnable()).then_some(vcpu.id)
-                    })
-                })
-                .filter(|vcpu| !placed.contains(vcpu))
-                .collect();
-            if let Some(chosen) = self.scheduler.pick_next(core, &candidates) {
-                placed.insert(chosen);
-                assignment.push((core, chosen));
+                .flat_map(|vm| vm.vcpus.iter().map(move |vcpu| (&vm.config, vcpu)));
+            for (flat, (config, vcpu)) in vcpus.enumerate() {
+                let allowed = match config.pinned_core(vcpu.id.index) {
+                    Some(pinned) => pinned == core,
+                    None => true,
+                };
+                if allowed && vcpu.state.is_runnable() && placed[flat].is_none() {
+                    candidates.push(vcpu.id);
+                    candidate_flat.push(flat);
+                }
+            }
+            let Some(chosen) = self.scheduler.pick_next(core, &candidates) else {
+                continue;
+            };
+            // A scheduler picks among its candidates (see
+            // `Scheduler::pick_next`); a pick outside them is ignored.
+            if let Some(i) = candidates.iter().position(|&vcpu| vcpu == chosen) {
+                placed[candidate_flat[i]] = Some(core);
+                picks.push((core, chosen));
             }
         }
 
-        // Phase 2: execution. Build one slot per placed vCPU and let the
-        // engine interleave them over the shared machine.
+        // Phase 2: execution. Build one slot per placed vCPU, in VM order,
+        // and let the engine interleave them over the shared machine.
         let Hypervisor {
             engine,
             scheduler,
@@ -635,14 +653,14 @@ impl<S: Scheduler> Hypervisor<S> {
             ..
         } = self;
 
-        // Scheduler decisions become trace instants on the `hv` track,
-        // timestamped at the engine's simulated clock *before* the tick's
-        // execution (the instant marks when the decision was made). One
-        // branch when tracing is off.
+        // Scheduler decisions become trace instants on the `hv` track, in
+        // core order, timestamped at the engine's simulated clock *before*
+        // the tick's execution (the instant marks when the decision was
+        // made). One branch when tracing is off.
         let trace_on = engine.trace().is_enabled();
         if trace_on {
             let ts = engine.elapsed_cycles();
-            for (core, vcpu) in &assignment {
+            for (core, vcpu) in &picks {
                 engine.trace_mut().instant_with(
                     "hv",
                     "hv.pick",
@@ -652,35 +670,36 @@ impl<S: Scheduler> Hypervisor<S> {
             }
             engine
                 .trace_mut()
-                .counter_add("hv.picks", assignment.len() as u64);
+                .counter_add("hv.picks", picks.len() as u64);
         }
 
-        let shadow_before: Vec<Option<u64>> = assignment
-            .iter()
-            .map(|(_, vcpu)| engine.shadow().map(|s| s.solo_misses(vcpu.vm.0)))
-            .collect();
-
-        let mut slots: Vec<ExecSlot<'_>> = Vec::with_capacity(assignment.len());
-        let mut slot_vcpus: Vec<VcpuId> = Vec::with_capacity(assignment.len());
+        let mut slots: Vec<ExecSlot<'_>> = Vec::with_capacity(picks.len());
+        let mut slot_vcpus: Vec<VcpuId> = Vec::with_capacity(picks.len());
+        let mut shadow_before: Vec<Option<u64>> = Vec::with_capacity(picks.len());
+        let mut flat = 0;
         for vm in vms.iter_mut() {
             let vm_id = vm.id;
             let numa_node = vm.config.numa_node;
             for vcpu in vm.vcpus.iter_mut() {
-                if let Some((core, _)) = assignment.iter().find(|(_, v)| *v == vcpu.id) {
-                    vcpu.state = VcpuState::Running;
-                    let overrides = scheduler.overrides(vcpu.id);
-                    let mut slot = ExecSlot::new(*core, vm_id.0, vcpu.workload.as_mut())
-                        .with_force_remote(overrides.force_remote);
-                    if let Some(node) = numa_node {
-                        slot = slot.with_data_node(node);
-                    }
-                    // The vCPU's op queue rides in its slot, so the stream
-                    // continues where the vCPU's last tick stopped, on
-                    // whichever core it runs now.
-                    slot.queue = std::mem::take(&mut vcpu.queue);
-                    slot_vcpus.push(vcpu.id);
-                    slots.push(slot);
+                let core = placed[flat];
+                flat += 1;
+                let Some(core) = core else {
+                    continue;
+                };
+                vcpu.state = VcpuState::Running;
+                let overrides = scheduler.overrides(vcpu.id);
+                let mut slot = ExecSlot::new(core, vm_id.0, vcpu.workload.as_mut())
+                    .with_force_remote(overrides.force_remote);
+                if let Some(node) = numa_node {
+                    slot = slot.with_data_node(node);
                 }
+                // The vCPU's op queue rides in its slot, so the stream
+                // continues where the vCPU's last tick stopped, on
+                // whichever core it runs now.
+                slot.queue = std::mem::take(&mut vcpu.queue);
+                shadow_before.push(engine.shadow().map(|s| s.solo_misses(vm_id.0)));
+                slot_vcpus.push(vcpu.id);
+                slots.push(slot);
             }
         }
         let reports = if parallel_engine {
@@ -694,13 +713,7 @@ impl<S: Scheduler> Hypervisor<S> {
         let mut scheduled_info: Vec<(VcpuId, TickReport)> = Vec::with_capacity(reports.len());
         for (i, vcpu_id) in slot_vcpus.iter().enumerate() {
             let report = &reports[i];
-            let shadow_delta = match (
-                shadow_before[assignment
-                    .iter()
-                    .position(|(_, v)| v == vcpu_id)
-                    .unwrap_or(i)],
-                engine.shadow(),
-            ) {
+            let shadow_delta = match (shadow_before[i], engine.shadow()) {
                 (Some(before), Some(shadow)) => {
                     Some(shadow.solo_misses(vcpu_id.vm.0).saturating_sub(before))
                 }
@@ -745,14 +758,20 @@ impl<S: Scheduler> Hypervisor<S> {
         }
 
         let end_ts = if trace_on { engine.elapsed_cycles() } else { 0 };
+        // Slots, reports and `scheduled_info` were built in VM order, so a
+        // running slot counter hands each placed vCPU back its slot's queue
+        // and report.
+        let mut flat = 0;
+        let mut next_slot = 0;
         for vm in vms.iter_mut() {
             vm.ticks_elapsed += 1;
             let mut vm_blocked_cycles = 0u64;
             for vcpu in vm.vcpus.iter_mut() {
-                // Slots, reports and `scheduled_info` share one order, so
-                // the vCPU's index there is its slot's: the queue its slot
-                // carried goes back to it.
-                let slot = scheduled_info.iter().position(|(v, _)| *v == vcpu.id);
+                let slot = placed[flat].is_some().then(|| {
+                    next_slot += 1;
+                    next_slot - 1
+                });
+                flat += 1;
                 if let Some(i) = slot {
                     vcpu.queue = std::mem::take(&mut queues[i]);
                 }
@@ -1233,6 +1252,40 @@ mod tests {
             dest.admit_vm(taken),
             Err(HypervisorError::InvalidPinning { core: 3 })
         ));
+    }
+
+    #[test]
+    fn an_empty_pinning_list_is_a_typed_error_not_a_panicking_tick() {
+        let empty = || VmConfig {
+            pinning: Some(Vec::new()),
+            ..VmConfig::new("empty")
+        };
+        let mut hv = xen_hypervisor(machine());
+        assert_eq!(
+            hv.add_vm(empty(), vec![Box::new(ComputeOnly::new(1))]),
+            Err(HypervisorError::EmptyPinning)
+        );
+        // The arrival half of a migration goes through the same check.
+        let vm = hv
+            .add_vm_with(VmConfig::new("mover"), Box::new(ComputeOnly::new(1)))
+            .unwrap();
+        let mut taken = hv.take_vm(vm).unwrap();
+        taken.config = empty();
+        assert!(matches!(
+            hv.admit_vm(taken),
+            Err(HypervisorError::EmptyPinning)
+        ));
+        // Nothing was admitted, so ticks run; the builder still reads an
+        // empty list as unpinned.
+        hv.run_ticks(2);
+        let unpinned = hv
+            .add_vm_with(
+                VmConfig::new("unpinned").pinned_to(vec![]),
+                Box::new(ComputeOnly::new(1)),
+            )
+            .unwrap();
+        hv.run_ticks(2);
+        assert!(hv.report(unpinned).unwrap().pmcs.instructions > 0);
     }
 
     #[test]

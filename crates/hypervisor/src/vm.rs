@@ -143,11 +143,13 @@ impl VmConfig {
         self
     }
 
-    /// The core vCPU `index` is pinned to, if any.
+    /// The core vCPU `index` is pinned to, if any. An empty pinning list
+    /// pins nothing.
     pub fn pinned_core(&self, index: u32) -> Option<CoreId> {
-        self.pinning
-            .as_ref()
-            .map(|cores| cores[index as usize % cores.len()])
+        let cores = self.pinning.as_ref()?;
+        cores
+            .get((index as usize).checked_rem(cores.len())?)
+            .copied()
     }
 }
 
@@ -263,6 +265,13 @@ mod tests {
         assert_eq!(config.pinned_core(2), Some(CoreId(1)));
         let unpinned = VmConfig::new("y").pinned_to(vec![]);
         assert_eq!(unpinned.pinned_core(0), None);
+        // Written directly, an empty list pins nothing instead of dividing
+        // by zero.
+        let empty = VmConfig {
+            pinning: Some(Vec::new()),
+            ..VmConfig::new("z")
+        };
+        assert_eq!(empty.pinned_core(0), None);
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl AdmissionController {
         }
     }
 
-    /// Restores a controller from checkpointed state.
-    pub fn from_parts(config: AdmissionConfig, queue: Vec<u64>) -> Self {
-        AdmissionController { config, queue }
-    }
-
     /// The controller configuration.
     pub fn config(&self) -> AdmissionConfig {
         self.config

@@ -21,13 +21,14 @@
 //!
 //! # Restart story
 //!
-//! A [`ServiceCheckpoint`] carries the deep fleet checkpoint (PR 6's
-//! [`FleetCheckpoint`]) *plus* the service's own state: the trace, the
-//! admission queue, the ledger, the telemetry published so far and the
-//! next arrival index. [`FleetService::restore`] resumes mid-trace and
-//! replays the remaining epochs **bit-identically** — the telemetry a
-//! restored service publishes is byte-equal to what the original would
-//! have published, which CI checks on every push.
+//! A [`ServiceCheckpoint`] wraps a copy of the whole service: the deep
+//! copy of its cluster (see [`Cluster::checkpoint`]) *plus* its own state
+//! — the trace, the admission queue, the ledger, the telemetry published
+//! so far and the next arrival index. [`FleetService::restore`] hands the
+//! copy back; it resumes mid-trace and replays the remaining epochs
+//! **bit-identically** — the telemetry a restored service publishes is
+//! byte-equal to what the original would have published, which CI checks
+//! on every push.
 
 use crate::admission::{AdmissionController, AdmissionOutcome, BoundaryView};
 use crate::request::{RequestTrace, ServiceRequest};
@@ -35,7 +36,6 @@ use crate::telemetry::{
     AdmissionLedger, CellTelemetry, TelemetryLog, TelemetryQueryReply, TelemetryRecord,
     TELEMETRY_VERSION,
 };
-use kyoto_cluster::checkpoint::FleetCheckpoint;
 use kyoto_cluster::cluster::Cluster;
 use kyoto_cluster::error::{AdmissionRejection, ClusterError};
 use kyoto_cluster::snapshot::{CellId, FleetVmId};
@@ -64,23 +64,30 @@ pub struct ServiceConfig {
 }
 
 /// A restartable copy of the whole service at an epoch boundary: the deep
-/// fleet checkpoint plus the service's own request-side state. Opaque by
-/// design; [`FleetService::restore`] is the only consumer.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct ServiceCheckpoint {
-    fleet: FleetCheckpoint,
-    trace: RequestTrace,
-    config: ServiceConfig,
-    queue: Vec<u64>,
-    ledger: AdmissionLedger,
-    records: Vec<TelemetryRecord>,
-    next_request_index: u64,
-}
+/// copy of its cluster plus the service's own request-side state, with no
+/// automatic checkpoint and no outstanding reply. Opaque by design;
+/// [`FleetService::restore`] is the only consumer.
+pub struct ServiceCheckpoint(FleetService);
 
 impl ServiceCheckpoint {
     /// The epoch the checkpointed service had completed.
     pub fn epoch(&self) -> u64 {
-        self.fleet.epoch()
+        self.0.epoch()
+    }
+}
+
+impl std::fmt::Debug for ServiceCheckpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let service = &self.0;
+        f.debug_struct("ServiceCheckpoint")
+            .field("epoch", &service.epoch())
+            .field("trace", &service.trace)
+            .field("config", &service.config)
+            .field("queue", &service.controller.queued())
+            .field("ledger", &service.ledger)
+            .field("records", &service.telemetry.records())
+            .field("next_request_index", &service.next_request_index)
+            .finish_non_exhaustive()
     }
 }
 
@@ -211,28 +218,14 @@ impl FleetService {
                 ServiceRequest::DrainCell(cell) => {
                     self.cluster.set_draining(cell, true)?;
                     self.ledger.drains += 1;
-                    if trace_on {
-                        let ts = self.cluster.trace_cursor_bump();
-                        self.cluster.trace_mut().instant_with(
-                            "service",
-                            "service.drain",
-                            ts,
-                            format!("cell={}", cell.0),
-                        );
-                    }
+                    self.cluster
+                        .control_instant("service", "service.drain", || format!("cell={}", cell.0));
                 }
                 ServiceRequest::JoinCell(cell) => {
                     self.cluster.set_draining(cell, false)?;
                     self.ledger.joins += 1;
-                    if trace_on {
-                        let ts = self.cluster.trace_cursor_bump();
-                        self.cluster.trace_mut().instant_with(
-                            "service",
-                            "service.join",
-                            ts,
-                            format!("cell={}", cell.0),
-                        );
-                    }
+                    self.cluster
+                        .control_instant("service", "service.join", || format!("cell={}", cell.0));
                 }
                 ServiceRequest::DepartVm { pick } => {
                     let served = self.cluster.depart_vm(pick)?;
@@ -241,15 +234,10 @@ impl FleetService {
                     } else {
                         self.ledger.departures_noop += 1;
                     }
-                    if trace_on {
-                        let ts = self.cluster.trace_cursor_bump();
-                        self.cluster.trace_mut().instant_with(
-                            "service",
-                            "service.depart",
-                            ts,
-                            format!("served={}", u8::from(served)),
-                        );
-                    }
+                    self.cluster
+                        .control_instant("service", "service.depart", || {
+                            format!("served={}", u8::from(served))
+                        });
                 }
                 ServiceRequest::PlaceVm | ServiceRequest::QueryTelemetry => {}
             }
@@ -263,15 +251,10 @@ impl FleetService {
             let vm = self.cluster.add_vm(cell, config, workload)?;
             self.ledger.admitted += 1;
             self.ledger.admitted_from_queue += 1;
-            if trace_on {
-                let ts = self.cluster.trace_cursor_bump();
-                self.cluster.trace_mut().instant_with(
-                    "service",
-                    "service.place",
-                    ts,
-                    format!("req={index} vm={} cell={} from=queue", vm.0, cell.0),
-                );
-            }
+            self.cluster
+                .control_instant("service", "service.place", || {
+                    format!("req={index} vm={} cell={} from=queue", vm.0, cell.0)
+                });
         }
         for request in &requests {
             match *request {
@@ -279,59 +262,34 @@ impl FleetService {
                     let index = self.next_request_index;
                     self.next_request_index += 1;
                     self.ledger.requested += 1;
-                    if trace_on {
-                        let ts = self.cluster.trace_cursor_bump();
-                        self.cluster.trace_mut().instant_with(
-                            "service",
-                            "service.request",
-                            ts,
-                            format!("req={index}"),
-                        );
-                    }
+                    self.cluster
+                        .control_instant("service", "service.request", || format!("req={index}"));
                     match self.controller.decide(index, &mut view) {
                         AdmissionOutcome::Admitted(cell) => {
                             let (config, workload) = spawn(index);
                             let vm = self.cluster.add_vm(cell, config, workload)?;
                             self.ledger.admitted += 1;
-                            if trace_on {
-                                let ts = self.cluster.trace_cursor_bump();
-                                self.cluster.trace_mut().instant_with(
-                                    "service",
-                                    "service.admit",
-                                    ts,
-                                    format!("req={index} cell={}", cell.0),
-                                );
-                                let ts = self.cluster.trace_cursor_bump();
-                                self.cluster.trace_mut().instant_with(
-                                    "service",
-                                    "service.place",
-                                    ts,
-                                    format!("req={index} vm={} cell={}", vm.0, cell.0),
-                                );
-                            }
+                            self.cluster
+                                .control_instant("service", "service.admit", || {
+                                    format!("req={index} cell={}", cell.0)
+                                });
+                            self.cluster
+                                .control_instant("service", "service.place", || {
+                                    format!("req={index} vm={} cell={}", vm.0, cell.0)
+                                });
                         }
                         AdmissionOutcome::Queued => {
-                            if trace_on {
-                                let ts = self.cluster.trace_cursor_bump();
-                                self.cluster.trace_mut().instant_with(
-                                    "service",
-                                    "service.queue",
-                                    ts,
-                                    format!("req={index}"),
-                                );
-                            }
+                            self.cluster
+                                .control_instant("service", "service.queue", || {
+                                    format!("req={index}")
+                                });
                         }
                         AdmissionOutcome::Rejected(reason) => {
                             self.count_rejection(reason);
-                            if trace_on {
-                                let ts = self.cluster.trace_cursor_bump();
-                                self.cluster.trace_mut().instant_with(
-                                    "service",
-                                    "service.reject",
-                                    ts,
-                                    format!("req={index}"),
-                                );
-                            }
+                            self.cluster
+                                .control_instant("service", "service.reject", || {
+                                    format!("req={index}")
+                                });
                         }
                     }
                 }
@@ -340,16 +298,9 @@ impl FleetService {
                     // counters when tracing is on, the ledger otherwise
                     // (see [`FleetService::query_telemetry`]).
                     self.ledger.queries += 1;
-                    if trace_on {
-                        let ts = self.cluster.trace_cursor_bump();
-                        let queries = self.ledger.queries;
-                        self.cluster.trace_mut().instant_with(
-                            "service",
-                            "service.query",
-                            ts,
-                            format!("n={queries}"),
-                        );
-                    }
+                    let queries = self.ledger.queries;
+                    self.cluster
+                        .control_instant("service", "service.query", || format!("n={queries}"));
                     self.last_query = Some(self.query_telemetry());
                 }
                 _ => {}
@@ -386,7 +337,7 @@ impl FleetService {
         if let Some(every) = self.config.checkpoint_every {
             if every > 0 && self.cluster.epoch().is_multiple_of(every) {
                 let mut checkpoint = self.checkpoint()?;
-                checkpoint.records.push(record.clone());
+                checkpoint.0.telemetry.publish(record.clone());
                 self.auto_checkpoint = Some(Box::new(checkpoint));
             }
         }
@@ -421,25 +372,16 @@ impl FleetService {
             Ok(cell) => {
                 let vm = self.cluster.add_vm(cell, config, workload)?;
                 self.ledger.admitted += 1;
-                if self.cluster.trace().is_enabled() {
-                    let ts = self.cluster.trace_cursor_bump();
-                    self.cluster.trace_mut().instant_with(
-                        "service",
-                        "service.place",
-                        ts,
-                        format!("vm={} cell={} from=sync", vm.0, cell.0),
-                    );
-                }
+                self.cluster
+                    .control_instant("service", "service.place", || {
+                        format!("vm={} cell={} from=sync", vm.0, cell.0)
+                    });
                 Ok((vm, cell))
             }
             Err(reason) => {
                 self.count_rejection(reason);
-                if self.cluster.trace().is_enabled() {
-                    let ts = self.cluster.trace_cursor_bump();
-                    self.cluster
-                        .trace_mut()
-                        .instant("service", "service.reject", ts);
-                }
+                self.cluster
+                    .control_instant("service", "service.reject", String::new);
                 Err(ClusterError::Rejected { reason })
             }
         }
@@ -490,42 +432,32 @@ impl FleetService {
     }
 
     /// Takes a restartable copy of the whole service: fleet, trace,
-    /// queue, ledger and telemetry.
+    /// queue, ledger and telemetry. The copy holds no automatic checkpoint
+    /// and no outstanding query reply.
     ///
     /// # Errors
     ///
     /// Whatever [`Cluster::checkpoint`] surfaces (an uncloneable
     /// workload, typically).
     pub fn checkpoint(&self) -> Result<ServiceCheckpoint, ClusterError> {
-        Ok(ServiceCheckpoint {
-            fleet: self.cluster.checkpoint()?,
+        Ok(ServiceCheckpoint(FleetService {
+            cluster: Cluster::restore(self.cluster.checkpoint()?),
             trace: self.trace.clone(),
             config: self.config,
-            queue: self.controller.queued().to_vec(),
+            controller: self.controller.clone(),
             ledger: self.ledger,
-            records: self.telemetry.records().to_vec(),
+            telemetry: self.telemetry.clone(),
             next_request_index: self.next_request_index,
-        })
+            auto_checkpoint: None,
+            last_query: None,
+        }))
     }
 
-    /// Resumes a service from a checkpoint, mid-trace. The resumed
+    /// Resumes the service a checkpoint copied, mid-trace. The resumed
     /// service replays the remaining epochs bit-identically to the
     /// original (property-tested and CI-gated).
     pub fn restore(checkpoint: ServiceCheckpoint) -> FleetService {
-        FleetService {
-            cluster: Cluster::restore(checkpoint.fleet),
-            trace: checkpoint.trace,
-            config: checkpoint.config,
-            controller: AdmissionController::from_parts(
-                checkpoint.config.admission,
-                checkpoint.queue,
-            ),
-            ledger: checkpoint.ledger,
-            telemetry: TelemetryLog::from_records(checkpoint.records),
-            next_request_index: checkpoint.next_request_index,
-            auto_checkpoint: None,
-            last_query: None,
-        }
+        checkpoint.0
     }
 
     /// Collects the latest automatic checkpoint, if one was taken since

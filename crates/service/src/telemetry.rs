@@ -241,11 +241,6 @@ impl TelemetryLog {
         TelemetryLog::default()
     }
 
-    /// Restores a log from checkpointed records.
-    pub fn from_records(records: Vec<TelemetryRecord>) -> Self {
-        TelemetryLog { records }
-    }
-
     /// Publishes one record and returns it as stored.
     pub fn publish(&mut self, record: TelemetryRecord) -> &TelemetryRecord {
         self.records.push_mut(record)

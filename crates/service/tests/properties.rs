@@ -196,6 +196,49 @@ fn auto_checkpoints_fire_on_cadence() {
     assert_eq!(restored.telemetry().render(), service.telemetry().render());
 }
 
+/// A restored checkpoint reads exactly like the service it copied, before
+/// either serves another epoch: the ledger, the published telemetry, the
+/// answer to a telemetry query and the wrapped cluster's accessors. The
+/// copy carries no outstanding query reply.
+#[test]
+fn a_restored_checkpoint_reads_like_the_original() {
+    use kyoto_cluster::TraceConfig;
+    use kyoto_trace::TraceDoc;
+    let cluster = Cluster::new(
+        ClusterConfig::new(2, SCALE)
+            .with_epoch_ticks(4)
+            .with_trace(TraceConfig::On),
+    );
+    let config = service_config(AdmissionPolicy::FreeCores, 2);
+    let mut service = FleetService::new(cluster, trace(11, 8, 2.5, 0.5), config);
+    for _ in 0..5 {
+        service.run_epoch(&mut spawn).unwrap();
+    }
+    let ledger = *service.ledger();
+    assert!(ledger.admitted > 0 && ledger.queries > 0 && ledger.drains > 0);
+    assert!(service.last_query().is_some());
+    let restored = FleetService::restore(service.checkpoint().unwrap());
+    assert!(restored.last_query().is_none());
+    assert_eq!(restored.ledger(), service.ledger());
+    assert_eq!(restored.telemetry(), service.telemetry());
+    assert_eq!(restored.query_telemetry(), service.query_telemetry());
+    assert_eq!(restored.trace(), service.trace());
+    assert_eq!(restored.epoch(), service.epoch());
+    let (original, copy) = (service.cluster(), restored.cluster());
+    assert_eq!(copy.total_migrations(), original.total_migrations());
+    assert_eq!(copy.total_departures(), original.total_departures());
+    assert_eq!(copy.total_faults(), original.total_faults());
+    assert_eq!(copy.all_reports(), original.all_reports());
+    assert_eq!(copy.occupancies(), original.occupancies());
+    assert_eq!(copy.snapshot(), original.snapshot());
+    assert_eq!(copy.history(), original.history());
+    assert_eq!(
+        TraceDoc::from_sink(copy.trace()).render(),
+        TraceDoc::from_sink(original.trace()).render()
+    );
+    restored.verify_conservation().unwrap();
+}
+
 /// The synchronous front returns typed rejections once the fleet fills:
 /// a 1-cell fleet accepts `cores` placements then rejects with
 /// `FleetSaturated` folded into `ClusterError::Rejected`.
