@@ -254,6 +254,7 @@ impl LegacyMachine {
 /// draw. Produces the same op *distribution* as today's `SpecWorkload`, so
 /// the throughput comparison stays apples-to-apples, with the seed's
 /// generation cost.
+#[derive(Clone)]
 pub struct LegacySpecWorkload {
     profile: kyoto_workloads::spec::SpecProfile,
     ws_lines: u64,

@@ -40,13 +40,13 @@
 //!
 //! # Checkpoint / restore
 //!
-//! [`Cluster::checkpoint`] deep-clones the entire fleet — machine state,
-//! hypervisors, in-flight arrivals, the retry queue, counters and history —
-//! into a [`FleetCheckpoint`], which wraps the copy;
-//! [`Cluster::restore`] hands the copy back, and it resumes
-//! **bit-identically** (property-tested across policies and planner modes).
+//! A fleet checkpoint is `cluster.clone()`: a deep copy of the entire fleet
+//! — machine state, hypervisors, workload progress, in-flight arrivals, the
+//! retry queue, the fault plan, counters, history and trace. The copy
+//! resumes **bit-identically**: `run(k)` equals `run(j).clone().run(k - j)`
+//! for every `j <= k` (property-tested across policies, planner modes and
+//! monitoring strategies).
 
-use crate::checkpoint::FleetCheckpoint;
 use crate::error::ClusterError;
 use crate::events::{EventSchedule, FleetEvent};
 use crate::faults::{AbortPoint, FaultCounts, FaultEvent, FaultPlan, RecoveryParams};
@@ -75,11 +75,9 @@ const CONTROL_EPOCH_STRIDE: u64 = 1 << 20;
 /// Static configuration of a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
-    /// Number of cells (machines).
+    /// Number of cells (machines). Each cell is one socket of the paper's
+    /// geometry.
     pub cells: usize,
-    /// Sockets per cell machine (the paper's per-socket geometry replicated,
-    /// as in `MachineConfig::cloud_machine`).
-    pub sockets_per_cell: usize,
     /// Machine scale factor (caches, frequency and working sets divided by
     /// this factor), as everywhere else in the reproduction.
     pub scale: u64,
@@ -110,7 +108,6 @@ impl ClusterConfig {
     pub fn new(cells: usize, scale: u64) -> Self {
         ClusterConfig {
             cells: cells.max(1),
-            sockets_per_cell: 1,
             scale: scale.max(1),
             epoch_ticks: 6,
             parallel_cells: false,
@@ -127,12 +124,6 @@ impl ClusterConfig {
     /// telemetry are byte-identical with it on or off (property-tested).
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Sets the number of sockets per cell.
-    pub fn with_sockets_per_cell(mut self, sockets: usize) -> Self {
-        self.sockets_per_cell = sockets.max(1);
         self
     }
 
@@ -177,32 +168,26 @@ impl ClusterConfig {
         self
     }
 
-    /// The machine configuration of one cell.
+    /// The machine configuration of one cell: one socket at the cluster's
+    /// scale.
     pub fn cell_machine_config(&self) -> MachineConfig {
-        MachineConfig::scaled_cloud_machine(self.sockets_per_cell, self.scale)
+        MachineConfig::scaled_cloud_machine(1, self.scale)
     }
 }
 
 /// A VM arriving on a cell at the next epoch (the in-flight half of a live
 /// migration): the pieces `take_vm` extracted at the source, re-placed by
 /// the control plane.
+#[derive(Clone)]
 pub(crate) struct Arrival {
     pub(crate) fleet: FleetVmId,
     pub(crate) taken: TakenVm,
 }
 
-impl Arrival {
-    fn try_clone(&self) -> Option<Arrival> {
-        Some(Arrival {
-            fleet: self.fleet,
-            taken: self.taken.try_clone()?,
-        })
-    }
-}
-
 /// One machine of the fleet: a simulated machine plus its own KS4Xen
 /// hypervisor. Cells own all their state; the cluster never reaches into a
 /// cell while another cell is running.
+#[derive(Clone)]
 pub struct Cell {
     pub(crate) id: CellId,
     pub(crate) hv: Hypervisor<Ks4Xen>,
@@ -376,6 +361,7 @@ pub(crate) struct FleetVm {
 
 /// One crash-orphaned VM waiting in the retry queue: the pieces `take_vm`
 /// salvaged from the crashed cell, plus the backoff bookkeeping.
+#[derive(Clone)]
 pub(crate) struct Orphan {
     pub(crate) fleet: FleetVmId,
     pub(crate) taken: TakenVm,
@@ -386,18 +372,6 @@ pub(crate) struct Orphan {
     pub(crate) attempts: u32,
     /// Next epoch at which admission is retried (exponential backoff).
     pub(crate) next_attempt: u64,
-}
-
-impl Orphan {
-    fn try_clone(&self) -> Option<Orphan> {
-        Some(Orphan {
-            fleet: self.fleet,
-            taken: self.taken.try_clone()?,
-            crashed_at: self.crashed_at,
-            attempts: self.attempts,
-            next_attempt: self.next_attempt,
-        })
-    }
 }
 
 /// What the fleet-dynamics events of one epoch boundary did.
@@ -514,7 +488,9 @@ impl FleetVmReport {
     }
 }
 
-/// The fleet: cells + control plane.
+/// The fleet: cells + control plane. A clone is a fleet checkpoint (see
+/// the module docs).
+#[derive(Clone)]
 pub struct Cluster {
     pub(crate) config: ClusterConfig,
     pub(crate) planner: MigrationPlanner,
@@ -1755,85 +1731,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    /// Deep-copies the entire fleet — machine state, hypervisors, in-flight
-    /// arrivals, the retry queue, counters and history — into a
-    /// [`FleetCheckpoint`] that wraps the copy. [`Cluster::restore`] resumes
-    /// bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Checkpoint`] when a cell's hypervisor hosts a
-    /// workload without [`Workload::try_clone_box`] support;
-    /// [`ClusterError::UncloneableVm`] when such a workload is travelling
-    /// outside any hypervisor (in flight or orphaned).
-    pub fn checkpoint(&self) -> Result<FleetCheckpoint, ClusterError> {
-        let mut cells = Vec::with_capacity(self.cells.len());
-        for cell in &self.cells {
-            let hv = cell
-                .hv
-                .try_clone()
-                .map_err(|source| ClusterError::Checkpoint {
-                    cell: cell.id,
-                    source,
-                })?;
-            let mut arrivals = Vec::with_capacity(cell.arrivals.len());
-            for arrival in &cell.arrivals {
-                arrivals.push(
-                    arrival
-                        .try_clone()
-                        .ok_or(ClusterError::UncloneableVm { vm: arrival.fleet })?,
-                );
-            }
-            cells.push(Cell {
-                id: cell.id,
-                hv,
-                arrivals,
-                draining: cell.draining,
-                down_until: cell.down_until,
-                slow_until: cell.slow_until,
-                phantom_blackouts: cell.phantom_blackouts,
-            });
-        }
-        let mut retry = Vec::with_capacity(self.retry.len());
-        for orphan in &self.retry {
-            retry.push(
-                orphan
-                    .try_clone()
-                    .ok_or(ClusterError::UncloneableVm { vm: orphan.fleet })?,
-            );
-        }
-        Ok(FleetCheckpoint(Cluster {
-            config: self.config,
-            planner: self.planner,
-            cells,
-            vms: self.vms.clone(),
-            departed: self.departed.clone(),
-            retry,
-            faults: self.faults.clone(),
-            next_fleet_id: self.next_fleet_id,
-            arrival_index: self.arrival_index,
-            epoch: self.epoch,
-            total_migrations: self.total_migrations,
-            total_arrivals: self.total_arrivals,
-            total_departures: self.total_departures,
-            rejected_arrivals: self.rejected_arrivals,
-            total_faults: self.total_faults,
-            readmission_latency_epochs: self.readmission_latency_epochs,
-            history: self.history.clone(),
-            freq_khz: self.freq_khz,
-            trace: self.trace.clone(),
-            control_cursor: self.control_cursor,
-        }))
-    }
-
-    /// Resumes the cluster a [`FleetCheckpoint`] copied. The restored
-    /// cluster resumes **bit-identically**: `run(k)` equals
-    /// `restore(checkpoint(run(j))).run(k - j)` for every `j <= k`
-    /// (property-tested across policies and planner modes).
-    pub fn restore(checkpoint: FleetCheckpoint) -> Cluster {
-        checkpoint.0
     }
 
     /// The fleet-wide report of one VM.

@@ -86,21 +86,6 @@ pub enum ClusterError {
         /// The validator's explanation.
         reason: String,
     },
-    /// Fleet state cannot be checkpointed because a cell's machine state
-    /// does not support deep cloning (e.g. an uncloneable workload).
-    Checkpoint {
-        /// The cell that refused to clone.
-        cell: CellId,
-        /// The underlying hypervisor error.
-        source: HypervisorError,
-    },
-    /// Fleet state cannot be checkpointed because a VM travelling outside
-    /// any hypervisor (in-flight or orphaned) carries a workload that does
-    /// not support cloning.
-    UncloneableVm {
-        /// The fleet VM whose workload refused to clone.
-        vm: FleetVmId,
-    },
     /// An admission controller rejected a placement request outright —
     /// surfaced by synchronous request/reply fronts (the `kyoto-service`
     /// control plane) where "no" is an answer, not an accident.
@@ -124,15 +109,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::InvalidPlan { reason } => {
                 write!(f, "migration plan failed validation: {reason}")
             }
-            ClusterError::Checkpoint { cell, source } => {
-                write!(f, "cannot checkpoint {cell:?}: {source}")
-            }
-            ClusterError::UncloneableVm { vm } => {
-                write!(
-                    f,
-                    "cannot checkpoint {vm:?}: its workload does not support cloning"
-                )
-            }
             ClusterError::Rejected { reason } => {
                 write!(f, "placement rejected: {reason}")
             }
@@ -143,9 +119,9 @@ impl std::fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ClusterError::Admission { source, .. }
-            | ClusterError::Hypervisor { source, .. }
-            | ClusterError::Checkpoint { source, .. } => Some(source),
+            ClusterError::Admission { source, .. } | ClusterError::Hypervisor { source, .. } => {
+                Some(source)
+            }
             _ => None,
         }
     }

@@ -8,7 +8,8 @@
 //! * [`cluster`] — the [`cluster::Cluster`]: N independent
 //!   machine+hypervisor [`cluster::Cell`]s advanced by a deterministic,
 //!   epoch-driven control loop (serially or one-cell-per-scoped-thread,
-//!   bit-identically);
+//!   bit-identically). A clone is a deep fleet checkpoint that resumes
+//!   bit-identically;
 //! * [`planner`] — the pure [`planner::MigrationPlanner`] with its
 //!   load-balancing, bin-packing, pollution-aware and density-capped
 //!   consolidation policies, the live-migration cost model (downtime
@@ -20,8 +21,6 @@
 //!   VMs re-enter admission through a bounded-backoff retry queue), cell
 //!   slowdowns (divided cycle budgets) and mid-migration aborts that roll
 //!   back atomically;
-//! * [`checkpoint`] — deep fleet checkpoints that
-//!   [`cluster::Cluster::restore`] resumes bit-identically;
 //! * [`error`] — the typed [`error::ClusterError`] the control loop
 //!   surfaces instead of panicking;
 //! * [`snapshot`] — the per-epoch observations the planner consumes.
@@ -56,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod error;
 pub mod events;
@@ -64,7 +62,6 @@ pub mod faults;
 pub mod planner;
 pub mod snapshot;
 
-pub use checkpoint::FleetCheckpoint;
 pub use cluster::{
     Cell, CellEpochStats, Cluster, ClusterConfig, EpochReport, EventCounts, FleetVmReport,
 };

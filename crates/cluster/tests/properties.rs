@@ -18,6 +18,7 @@ use kyoto_cluster::events::{EventSchedule, EventScheduleConfig};
 use kyoto_cluster::faults::{FaultPlan, FaultPlanConfig};
 use kyoto_cluster::planner::{ConsolidationPolicy, MigrationPlanner, PlannerConfig};
 use kyoto_cluster::snapshot::{CellId, CellSnapshot, ClusterSnapshot, FleetVmId, VmSnapshot};
+use kyoto_core::monitor::{MonitoringStrategy, SocketDedicationConfig};
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
@@ -29,6 +30,16 @@ fn arb_policy() -> impl Strategy<Value = ConsolidationPolicy> {
         Just(ConsolidationPolicy::BinPack),
         Just(ConsolidationPolicy::PollutionAware),
         Just(ConsolidationPolicy::PollutionAwareDensity),
+    ]
+}
+
+fn arb_strategy() -> impl Strategy<Value = MonitoringStrategy> {
+    prop_oneof![
+        Just(MonitoringStrategy::DirectPmc),
+        Just(MonitoringStrategy::SimulatorAttribution),
+        Just(MonitoringStrategy::SocketDedication(
+            SocketDedicationConfig::default()
+        )),
     ]
 }
 
@@ -399,14 +410,18 @@ proptest! {
     }
 
     /// Checkpoint/restore is bit-identical: running `k` epochs straight
-    /// equals checkpointing after `j` and resuming for `k - j`, with a
-    /// fault plan installed, across every policy and both planner modes.
+    /// equals cloning after `j` and resuming the clone for `k - j`, with a
+    /// fault plan installed, across every policy, both planner modes and
+    /// every monitoring strategy (the shadow caches of simulator
+    /// attribution and the socket-dedication state machine are copied
+    /// too).
     #[test]
     fn restore_resumes_bit_identically(
         cells in 2usize..4,
         vm_count in 2usize..7,
         policy in arb_policy(),
         cost_aware in 0u32..2,
+        strategy in arb_strategy(),
         seed in 0u64..1_000,
         split in 1u64..6,
     ) {
@@ -422,7 +437,8 @@ proptest! {
                         .with_max_moves(3)
                         .with_polluter_threshold(200.0)
                         .with_cost_aware(cost_aware == 1),
-                );
+                )
+                .with_strategy(strategy);
             let mut cluster = Cluster::new(config);
             for i in 0..vm_count {
                 let app = apps[i % apps.len()];
@@ -446,9 +462,8 @@ proptest! {
         straight.run_epochs(total).unwrap();
         let mut first = build();
         first.run_epochs(j).unwrap();
-        let checkpoint = first.checkpoint().unwrap();
-        prop_assert_eq!(checkpoint.epoch(), j);
-        let mut resumed = Cluster::restore(checkpoint);
+        let mut resumed = first.clone();
+        prop_assert_eq!(resumed.epoch(), j);
         resumed.run_epochs(total - j).unwrap();
         prop_assert_eq!(straight.all_reports(), resumed.all_reports());
         prop_assert_eq!(straight.history().to_vec(), resumed.history().to_vec());
@@ -632,7 +647,7 @@ fn restored_cluster_trace_resumes_bit_identically() {
     straight.run_epochs(6).unwrap();
     let mut first = build();
     first.run_epochs(2).unwrap();
-    let mut resumed = Cluster::restore(first.checkpoint().unwrap());
+    let mut resumed = first.clone();
     resumed.run_epochs(4).unwrap();
     assert_eq!(
         TraceDoc::from_sink(straight.trace()).render(),

@@ -96,11 +96,6 @@ impl ExperimentConfig {
         MachineConfig::scaled_paper_machine(self.scale)
     }
 
-    /// The scaled NUMA machine configuration.
-    pub fn numa_machine_config(&self) -> MachineConfig {
-        MachineConfig::scaled_paper_numa_machine(self.scale)
-    }
-
     /// The scaled N-socket cloud consolidation machine (the paper's
     /// per-socket geometry replicated `sockets` times) used by the
     /// cloudscale scenario.

@@ -227,11 +227,6 @@ impl FleetCell {
     pub fn final_epoch_instructions(&self) -> u64 {
         self.final_epoch.iter().map(|c| c.instructions).sum()
     }
-
-    /// Cells left empty in the final epoch (what bin-packing frees up).
-    pub fn empty_cells(&self) -> usize {
-        self.final_epoch.iter().filter(|c| c.vms == 0).count()
-    }
 }
 
 /// One churn sweep point: an arrival rate, a policy and a planner mode.

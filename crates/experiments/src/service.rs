@@ -442,7 +442,7 @@ pub fn run_restart_check(
             .run_epoch(&mut spawn)
             .expect("service replay is fault-free");
     }
-    let checkpoint = original.checkpoint().expect("fleet checkpoints cleanly");
+    let checkpoint = original.checkpoint();
     original
         .run_to_end(&mut spawn)
         .expect("service replay is fault-free");

@@ -43,13 +43,6 @@ pub enum HypervisorError {
         /// The VM id.
         vm: VmId,
     },
-    /// A vCPU's workload does not support state cloning
-    /// ([`Workload::try_clone_box`] returned `None`), so the hypervisor
-    /// cannot be checkpointed.
-    UncloneableWorkload {
-        /// The vCPU whose workload refused to clone.
-        vcpu: VcpuId,
-    },
     /// Every VM id (1 to 65535) has been handed out once; ids are never
     /// reused, so this hypervisor admits no further VM.
     VmIdsExhausted,
@@ -67,9 +60,6 @@ impl fmt::Display for HypervisorError {
             }
             HypervisorError::EmptyPinning => write!(f, "VM pinned to an empty core list"),
             HypervisorError::UnknownVm { vm } => write!(f, "unknown VM {vm}"),
-            HypervisorError::UncloneableWorkload { vcpu } => {
-                write!(f, "workload of vCPU {vcpu:?} does not support cloning")
-            }
             HypervisorError::VmIdsExhausted => {
                 write!(f, "all {} VM ids have been handed out", u16::MAX)
             }
@@ -130,7 +120,10 @@ impl HypervisorConfig {
     }
 }
 
-/// The pieces [`Hypervisor::take_vm`] extracts for a live migration.
+/// The pieces [`Hypervisor::take_vm`] extracts for a live migration. A
+/// clone is a deep copy, workload execution state included; it checkpoints
+/// VMs that are in flight between hypervisors.
+#[derive(Clone)]
 pub struct TakenVm {
     /// The VM's configuration (pinning and all — the control plane
     /// re-places it before re-adding).
@@ -156,28 +149,6 @@ pub struct TakenVm {
     pub wake_clock: u64,
 }
 
-impl TakenVm {
-    /// Deep-copies the extracted VM, workload execution state included, or
-    /// `None` when a workload does not support cloning
-    /// (see [`Workload::try_clone_box`]). Used to checkpoint VMs that are
-    /// in flight between hypervisors.
-    pub fn try_clone(&self) -> Option<TakenVm> {
-        let workloads = self
-            .workloads
-            .iter()
-            .map(|w| w.try_clone_box())
-            .collect::<Option<Vec<_>>>()?;
-        Some(TakenVm {
-            config: self.config.clone(),
-            workloads,
-            report: self.report.clone(),
-            flushed_lines: self.flushed_lines,
-            vcpu_states: self.vcpu_states.clone(),
-            wake_clock: self.wake_clock,
-        })
-    }
-}
-
 /// One row of the per-tick execution history.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TickSample {
@@ -193,6 +164,7 @@ pub struct TickSample {
     pub pmc_delta: PmcSet,
 }
 
+#[derive(Clone)]
 struct VcpuRuntime {
     id: VcpuId,
     workload: Box<dyn Workload>,
@@ -207,26 +179,7 @@ struct VcpuRuntime {
     blocked_cycles: u64,
 }
 
-impl VcpuRuntime {
-    fn try_clone(&self) -> Result<VcpuRuntime, HypervisorError> {
-        let workload = self
-            .workload
-            .try_clone_box()
-            .ok_or(HypervisorError::UncloneableWorkload { vcpu: self.id })?;
-        Ok(VcpuRuntime {
-            id: self.id,
-            workload,
-            queue: self.queue.clone(),
-            pmcs: self.pmcs,
-            cycles_run: self.cycles_run,
-            ticks_scheduled: self.ticks_scheduled,
-            state: self.state,
-            ticks_blocked: self.ticks_blocked,
-            blocked_cycles: self.blocked_cycles,
-        })
-    }
-}
-
+#[derive(Clone)]
 struct VmRuntime {
     id: VmId,
     config: VmConfig,
@@ -238,23 +191,12 @@ struct VmRuntime {
     wake_clock: u64,
 }
 
-impl VmRuntime {
-    fn try_clone(&self) -> Result<VmRuntime, HypervisorError> {
-        Ok(VmRuntime {
-            id: self.id,
-            config: self.config.clone(),
-            vcpus: self
-                .vcpus
-                .iter()
-                .map(VcpuRuntime::try_clone)
-                .collect::<Result<Vec<_>, _>>()?,
-            ticks_elapsed: self.ticks_elapsed,
-            wake_clock: self.wake_clock,
-        })
-    }
-}
-
 /// The hypervisor: VMs + a scheduler + the simulated machine.
+///
+/// A clone deep-copies machine state, scheduler, VMs and their workloads'
+/// execution progress, and continues bit-identically to the original:
+/// the foundation of fleet checkpointing.
+#[derive(Clone)]
 pub struct Hypervisor<S: Scheduler> {
     engine: SimEngine,
     scheduler: S,
@@ -896,33 +838,6 @@ impl<S: Scheduler> Hypervisor<S> {
     }
 }
 
-impl<S: Scheduler + Clone> Hypervisor<S> {
-    /// Deep-copies the hypervisor — machine state, scheduler, VMs and their
-    /// workloads' execution progress. The copy continues bit-identically to
-    /// the original, which is the foundation of fleet checkpointing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HypervisorError::UncloneableWorkload`] when a resident
-    /// workload does not implement [`Workload::try_clone_box`].
-    pub fn try_clone(&self) -> Result<Hypervisor<S>, HypervisorError> {
-        Ok(Hypervisor {
-            engine: self.engine.clone(),
-            scheduler: self.scheduler.clone(),
-            config: self.config,
-            vms: self
-                .vms
-                .iter()
-                .map(VmRuntime::try_clone)
-                .collect::<Result<Vec<_>, _>>()?,
-            next_vm_id: self.next_vm_id,
-            tick: self.tick,
-            history: self.history.clone(),
-            budget_divisor: self.budget_divisor,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1378,7 +1293,7 @@ mod tests {
             .unwrap();
         }
         hv.run_ticks(5);
-        let mut copy = hv.try_clone().unwrap();
+        let mut copy = hv.clone();
         assert_eq!(copy.current_tick(), hv.current_tick());
         assert_eq!(copy.reports(), hv.reports());
         hv.run_ticks(7);
@@ -1437,29 +1352,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_clone_refuses_uncloneable_workloads() {
-        struct Opaque;
-        impl Workload for Opaque {
-            fn next_op(&mut self) -> kyoto_sim::workload::Op {
-                kyoto_sim::workload::Op::Compute { cycles: 1 }
-            }
-            fn name(&self) -> &str {
-                "opaque"
-            }
-            fn working_set_bytes(&self) -> u64 {
-                0
-            }
-        }
-        let mut hv = xen_hypervisor(machine());
-        hv.add_vm_with(VmConfig::new("opaque"), Box::new(Opaque))
-            .unwrap();
-        assert!(matches!(
-            hv.try_clone(),
-            Err(HypervisorError::UncloneableWorkload { .. })
-        ));
-    }
-
     /// A WFI-style workload: emits `burst_ops` compute ops, then asks to
     /// block until woken (each wake grants a fresh burst). With bursts below
     /// the engine's fetch chunk the whole burst drains during the first
@@ -1495,9 +1387,6 @@ mod tests {
         }
         fn on_wake(&mut self) {
             self.remaining = self.burst_ops;
-        }
-        fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-            Some(Box::new(self.clone()))
         }
     }
 

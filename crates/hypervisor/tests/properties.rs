@@ -148,11 +148,7 @@ proptest! {
 
         // Snapshot the workloads' execution state, then push the pieces
         // through admit_vm → take_vm and compare the op streams.
-        let mut snapshots: Vec<Box<dyn Workload>> = taken
-            .workloads
-            .iter()
-            .map(|w| w.try_clone_box().expect("SPEC workloads are cloneable"))
-            .collect();
+        let mut snapshots: Vec<Box<dyn Workload>> = taken.workloads.clone();
         let mut dest = build();
         let new_id = dest.admit_vm(taken).unwrap();
         let mut retaken = dest.take_vm(new_id).unwrap();

@@ -22,8 +22,8 @@
 //!   admission ledger, the fault ledger) that `figures --scenario
 //!   service` consumes;
 //! * [`service`] — the [`service::FleetService`] loop itself, whose
-//!   restart story is PR 6's deep fleet checkpoint: auto-checkpoint
-//!   every K epochs, resume mid-trace bit-identically.
+//!   restart story is a deep copy of the service and its cluster:
+//!   auto-checkpoint every K epochs, resume mid-trace bit-identically.
 //!
 //! # Example: replay a trace and read the telemetry
 //!

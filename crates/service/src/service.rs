@@ -22,7 +22,7 @@
 //! # Restart story
 //!
 //! A [`ServiceCheckpoint`] wraps a copy of the whole service: the deep
-//! copy of its cluster (see [`Cluster::checkpoint`]) *plus* its own state
+//! copy of its cluster (a [`Cluster`] clone) *plus* its own state
 //! — the trace, the admission queue, the ledger, the telemetry published
 //! so far and the next arrival index. [`FleetService::restore`] hands the
 //! copy back; it resumes mid-trace and replays the remaining epochs
@@ -198,7 +198,7 @@ impl FleetService {
     /// # Errors
     ///
     /// Any [`ClusterError`] the underlying cluster surfaces (admission
-    /// onto a hypervisor, event application, checkpointing). Admission
+    /// onto a hypervisor, event application). Admission
     /// *rejections* are not errors on this path — they are ledger
     /// entries.
     pub fn run_epoch(&mut self, spawn: SpawnFn<'_>) -> Result<&TelemetryRecord, ClusterError> {
@@ -336,7 +336,7 @@ impl FleetService {
         let record = self.build_record();
         if let Some(every) = self.config.checkpoint_every {
             if every > 0 && self.cluster.epoch().is_multiple_of(every) {
-                let mut checkpoint = self.checkpoint()?;
+                let mut checkpoint = self.checkpoint();
                 checkpoint.0.telemetry.publish(record.clone());
                 self.auto_checkpoint = Some(Box::new(checkpoint));
             }
@@ -434,14 +434,9 @@ impl FleetService {
     /// Takes a restartable copy of the whole service: fleet, trace,
     /// queue, ledger and telemetry. The copy holds no automatic checkpoint
     /// and no outstanding query reply.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Cluster::checkpoint`] surfaces (an uncloneable
-    /// workload, typically).
-    pub fn checkpoint(&self) -> Result<ServiceCheckpoint, ClusterError> {
-        Ok(ServiceCheckpoint(FleetService {
-            cluster: Cluster::restore(self.cluster.checkpoint()?),
+    pub fn checkpoint(&self) -> ServiceCheckpoint {
+        ServiceCheckpoint(FleetService {
+            cluster: self.cluster.clone(),
             trace: self.trace.clone(),
             config: self.config,
             controller: self.controller.clone(),
@@ -450,7 +445,7 @@ impl FleetService {
             next_request_index: self.next_request_index,
             auto_checkpoint: None,
             last_query: None,
-        }))
+        })
     }
 
     /// Resumes the service a checkpoint copied, mid-trace. The resumed

@@ -155,7 +155,7 @@ proptest! {
         for _ in 0..3 {
             original.run_epoch(&mut spawn).unwrap();
         }
-        let checkpoint = original.checkpoint().unwrap();
+        let checkpoint = original.checkpoint();
         original.run_to_end(&mut spawn).unwrap();
         let mut restored = FleetService::restore(checkpoint);
         prop_assert_eq!(restored.epoch(), 3);
@@ -217,7 +217,7 @@ fn a_restored_checkpoint_reads_like_the_original() {
     let ledger = *service.ledger();
     assert!(ledger.admitted > 0 && ledger.queries > 0 && ledger.drains > 0);
     assert!(service.last_query().is_some());
-    let restored = FleetService::restore(service.checkpoint().unwrap());
+    let restored = FleetService::restore(service.checkpoint());
     assert!(restored.last_query().is_none());
     assert_eq!(restored.ledger(), service.ledger());
     assert_eq!(restored.telemetry(), service.telemetry());

@@ -571,11 +571,6 @@ impl SimEngine {
         Ok(())
     }
 
-    /// Disables shadow attribution and drops its state.
-    pub fn disable_shadow_attribution(&mut self) {
-        self.shadow = None;
-    }
-
     /// The shadow attribution component, if enabled.
     pub fn shadow(&self) -> Option<&ShadowAttribution> {
         self.shadow.as_ref()

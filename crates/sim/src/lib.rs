@@ -17,7 +17,8 @@
 //! * [`pmc`] — the performance-counter snapshot read per vCPU (the
 //!   `perfctr-xen` stand-in).
 //! * [`workload`] — the [`workload::Workload`] trait that memory-access
-//!   generators implement (implementations live in `kyoto-workloads`).
+//!   generators implement (implementations live in `kyoto-workloads`);
+//!   every workload is `Clone`, execution progress included.
 //! * [`engine`] — a deterministic, time-stepped engine that interleaves the
 //!   access streams of co-scheduled virtual CPUs over the shared LLC.
 //! * [`shadow`] — per-owner shadow LLC used for simulator-based pollution
@@ -31,6 +32,7 @@
 //! use kyoto_sim::workload::{Op, Workload};
 //!
 //! /// A trivial workload touching a single cache line repeatedly.
+//! #[derive(Clone)]
 //! struct OneLine;
 //! impl Workload for OneLine {
 //!     fn next_op(&mut self) -> Op {

@@ -198,11 +198,6 @@ impl MachineConfig {
         self.sockets * self.cores_per_socket
     }
 
-    /// Cycles available in one millisecond of simulated time.
-    pub fn cycles_per_ms(&self) -> u64 {
-        self.freq_khz
-    }
-
     /// The global id of core `index` of `socket`, or `None` when either
     /// index is out of range. Inverse of [`MachineConfig::socket_of_core`]:
     /// placement policies use the pair to convert between the
@@ -527,13 +522,6 @@ impl Machine {
                 core.reset_stats();
             }
         }
-    }
-
-    /// Private-cache view for a core (useful in tests and diagnostics).
-    pub fn core_caches(&self, core: CoreId) -> Option<&CoreCaches> {
-        let socket = self.socket_of(core).ok()?;
-        let idx = core.0 % self.config.cores_per_socket;
-        self.sockets.get(socket.0).map(|s| &s.cores[idx])
     }
 
     /// Splits the machine into independently mutable per-socket views, one

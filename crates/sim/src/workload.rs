@@ -66,9 +66,16 @@ pub const IDLE_OP: Op = Op::Compute { cycles: 1 };
 ///
 /// `Send` is a supertrait because the engine's socket-parallel path
 /// ([`crate::engine::SimEngine::run_slots_parallel`]) drives each socket's
-/// slots — and therefore their workloads — from a scoped worker thread. All
-/// built-in workloads are plain owned data, so the bound is free.
-pub trait Workload: Send {
+/// slots — and therefore their workloads — from a scoped worker thread.
+///
+/// [`CloneWorkload`] is a supertrait because fleet control copies VMs: a
+/// live migration's in-flight VM, a crash orphan and a checkpoint are all
+/// deep copies. A clone must include the execution progress, so the copy
+/// continues the exact op stream the original would have produced. Derive
+/// `Clone` and the blanket impl does the rest; `Box<dyn Workload>` is then
+/// `Clone` too. All built-in workloads are plain owned data, so both bounds
+/// are free.
+pub trait Workload: Send + CloneWorkload {
     /// Produces the next micro-operation.
     fn next_op(&mut self) -> Op;
 
@@ -140,20 +147,28 @@ pub trait Workload: Send {
     /// does nothing, matching the always-runnable default of
     /// [`Workload::wants_block`].
     fn on_wake(&mut self) {}
+}
 
-    /// Deep-copies the workload *including its execution progress*, so the
-    /// copy continues the exact op stream the original would have produced.
-    ///
-    /// This is the primitive behind fleet checkpointing: a hypervisor can
-    /// only be snapshotted if every resident workload is cloneable. All
-    /// built-in models support it; the default of `None` opts a workload out
-    /// of checkpointing without breaking anything else.
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        None
+/// Clones a workload behind a `Box<dyn Workload>`. Implemented for every
+/// `Workload + Clone`; never implement it by hand.
+pub trait CloneWorkload {
+    /// A boxed deep copy of the workload, execution progress included.
+    fn clone_box(&self) -> Box<dyn Workload>;
+}
+
+impl<W: Workload + Clone + 'static> CloneWorkload for W {
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 }
 
-impl<W: Workload + ?Sized> Workload for Box<W> {
+impl Clone for Box<dyn Workload> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
+impl Workload for Box<dyn Workload> {
     fn next_op(&mut self) -> Op {
         (**self).next_op()
     }
@@ -184,10 +199,6 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 
     fn reset(&mut self) {
         (**self).reset()
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        (**self).try_clone_box()
     }
 }
 
@@ -234,10 +245,6 @@ impl Workload for ComputeOnly {
 
     fn working_set_bytes(&self) -> u64 {
         0
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(*self))
     }
 }
 
@@ -313,10 +320,6 @@ impl Workload for FixedSequence {
 
     fn reset(&mut self) {
         self.next = 0;
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
     }
 }
 
@@ -406,16 +409,17 @@ mod tests {
             ],
         );
         let _ = wl.next_op();
-        let mut copy = wl.try_clone_box().expect("fixed sequences are cloneable");
+        let mut copy = wl.clone_box();
         for _ in 0..7 {
             assert_eq!(copy.next_op(), wl.next_op());
         }
         // The Box forwarder delegates rather than wrapping another box.
         let boxed: Box<dyn Workload> = Box::new(ComputeOnly::new(3));
-        let mut dup = boxed.try_clone_box().expect("compute-only is cloneable");
+        let mut dup = boxed.clone();
         assert!(matches!(dup.next_op(), Op::Compute { cycles: 3 }));
     }
 
+    #[derive(Clone)]
     struct Opaque;
     impl Workload for Opaque {
         fn next_op(&mut self) -> Op {
@@ -430,17 +434,13 @@ mod tests {
     }
 
     #[test]
-    fn workloads_opt_out_of_cloning_by_default() {
-        assert!(Opaque.try_clone_box().is_none());
-    }
-
-    #[test]
     fn workloads_never_block_by_default_and_boxes_forward() {
         let mut opaque = Opaque;
         assert!(!opaque.wants_block());
         opaque.on_wake(); // default is a no-op
         assert!(!opaque.wants_block());
 
+        #[derive(Clone)]
         struct Sleepy {
             asleep: bool,
         }

@@ -154,6 +154,7 @@ impl Workload for BurstyWorkload {
 
 /// A sleep-mostly generator: `burst_ops` ops of an inner stream, then idle
 /// padding with `wants_block()` true until `on_wake` re-arms the burst.
+#[derive(Clone)]
 struct Sleeper {
     inner: Box<dyn Workload>,
     burst_ops: u32,
@@ -192,9 +193,10 @@ impl Workload for Sleeper {
 
 /// Forwards every method except `wants_block`, which keeps its default
 /// `false`: the engine then fetches and retires every idle op one by one.
+#[derive(Clone)]
 struct HiddenBlock<W>(W);
 
-impl<W: Workload> Workload for HiddenBlock<W> {
+impl<W: Workload + Clone + 'static> Workload for HiddenBlock<W> {
     fn next_op(&mut self) -> Op {
         self.0.next_op()
     }
@@ -221,10 +223,6 @@ impl<W: Workload> Workload for HiddenBlock<W> {
 
     fn on_wake(&mut self) {
         self.0.on_wake()
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        self.0.try_clone_box()
     }
 }
 

@@ -119,10 +119,6 @@ impl<W: Workload + Clone + 'static> Workload for Interactive<W> {
         self.inner.reset();
         self.remaining = self.burst_ops;
     }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +181,7 @@ mod tests {
         for _ in 0..10 {
             a.next_op();
         }
-        let mut b = a.try_clone_box().unwrap();
+        let mut b = a.clone();
         for _ in 0..20 {
             assert_eq!(a.next_op(), b.next_op());
         }

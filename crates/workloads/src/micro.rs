@@ -117,10 +117,6 @@ impl Workload for PointerChase {
         self.current = 0;
         self.pending_compute = false;
     }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// A self-check walk utility: returns how many hops it takes to come back to

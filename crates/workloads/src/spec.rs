@@ -519,10 +519,6 @@ impl Workload for SpecWorkload {
         self.scan_pos = 0;
         self.cold_pos = 0;
     }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

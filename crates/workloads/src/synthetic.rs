@@ -116,10 +116,6 @@ impl Workload for Streaming {
     fn reset(&mut self) {
         self.position = 0;
     }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Uniform random accesses over a working set.
@@ -192,10 +188,6 @@ impl Workload for RandomAccess {
 
     fn mem_parallelism(&self) -> f64 {
         self.mem_parallelism
-    }
-
-    fn try_clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
     }
 }
 

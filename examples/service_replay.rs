@@ -87,7 +87,7 @@ fn main() {
             .run_epoch(&mut spawn)
             .expect("example run is fault-free");
     }
-    let checkpoint = service.checkpoint().expect("workloads are cloneable");
+    let checkpoint = service.checkpoint();
     println!("checkpointed after epoch {}\n", checkpoint.epoch());
 
     // Finish the original and, independently, a service restored from the
